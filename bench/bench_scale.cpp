@@ -78,7 +78,6 @@ SimulationConfig ScaleConfig(int nodes, int tasks, std::size_t shards,
   config.max_suspension_retries = 6;
   config.scheduler_index = indexed;
   config.shards = shards;
-  config.enable_monitoring = false;
   config.seed = 42;
   return config;
 }

@@ -62,7 +62,6 @@ inline int RunFigure(int argc, char** argv, const FigureSpec& spec) {
     SweepParams params;
     params.base.nodes.count = nodes;
     params.base.seed = static_cast<std::uint64_t>(cli.GetInt("seed"));
-    params.base.enable_monitoring = false;  // large sweeps
     params.task_counts = task_counts;
     params.modes = {sched::ReconfigMode::kFull, sched::ReconfigMode::kPartial};
     params.threads = static_cast<unsigned>(cli.GetInt("threads"));

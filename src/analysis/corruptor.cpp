@@ -76,6 +76,10 @@ void StructureCorruptor::ExposeFailedNode(resource::ResourceStore& store,
   store.nodes_.at(node.value()).failed_ = true;
 }
 
+void StructureCorruptor::SkewStoreTotals(resource::ResourceStore& store) {
+  ++store.totals_.wasted_area;
+}
+
 void StructureCorruptor::MisplaceSusBucketEntry(
     resource::SuspensionQueue& queue, TaskId task,
     ConfigId wrong_config) {

@@ -48,6 +48,10 @@ class StructureCorruptor {
   /// store counter).
   static void ExposeFailedNode(resource::ResourceStore& store, NodeId node);
 
+  /// Adds one unit of area to the store's maintained Eq. 6 wasted-area
+  /// total, leaving every node untouched. Expected slug: store.totals.
+  static void SkewStoreTotals(resource::ResourceStore& store);
+
   /// Moves a queued task's seq from its home bucket to `wrong_config`'s
   /// bucket in the SusQueueIndex (requires the drain index). Expected
   /// slug: susidx.bucket.

@@ -385,6 +385,45 @@ void StructureAuditor::AuditFaultVisibility(const ResourceStore& store,
   }
 }
 
+// --- System totals ----------------------------------------------------------
+
+void StructureAuditor::AuditTotals(const ResourceStore& store,
+                                   AuditReport& report) {
+  // Ground truth: an O(N) re-sum over each node's own counters (which
+  // eq4.area / fig3.slot check against the slots), so one stale total
+  // reports here and nowhere else.
+  resource::StoreTotals truth;
+  for (const Node& node : store.nodes_) {
+    truth.total_fabric_area += node.total_area();
+    if (node.blank()) {
+      ++truth.blank_nodes;
+      continue;
+    }
+    truth.configured_area += node.total_area() - node.available_area();
+    truth.wasted_area += node.available_area();
+    if (node.busy()) {
+      ++truth.busy_nodes;
+      truth.running_tasks += node.running_tasks();
+    } else {
+      truth.idle_wasted_area += node.available_area();
+    }
+  }
+  const resource::StoreTotals& live = store.totals_;
+  const auto check = [&](const char* field, auto maintained, auto recount) {
+    if (maintained != recount) {
+      Report(report, "store.totals", Format("store totals.{}", field),
+             Format("maintained {} != recount {}", maintained, recount));
+    }
+  };
+  check("wasted_area", live.wasted_area, truth.wasted_area);
+  check("idle_wasted_area", live.idle_wasted_area, truth.idle_wasted_area);
+  check("configured_area", live.configured_area, truth.configured_area);
+  check("total_fabric_area", live.total_fabric_area, truth.total_fabric_area);
+  check("blank_nodes", live.blank_nodes, truth.blank_nodes);
+  check("busy_nodes", live.busy_nodes, truth.busy_nodes);
+  check("running_tasks", live.running_tasks, truth.running_tasks);
+}
+
 // --- StoreIndex mirror ------------------------------------------------------
 
 void StructureAuditor::AuditStoreIndex(const ResourceStore& store,
@@ -965,6 +1004,7 @@ AuditReport StructureAuditor::AuditStore(const ResourceStore& store) {
   AuditAreaAccounting(store, report);
   AuditBlankList(store, report);
   AuditFaultVisibility(store, report);
+  AuditTotals(store, report);
   AuditStoreIndex(store, report);
   AuditShards(store, report);
   return report;

@@ -143,8 +143,8 @@ struct SimulationConfig {
 
   // --- Metrics ---
   WasteAccounting waste_accounting = WasteAccounting::kOnSchedule;
-  /// Event-driven utilization monitoring (O(nodes) per event); disable for
-  /// large sweeps.
+  /// Event-driven utilization monitoring (an O(1) read of the store's
+  /// maintained totals per observed event).
   bool enable_monitoring = true;
 
   // --- Reproducibility ---

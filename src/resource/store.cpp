@@ -11,6 +11,46 @@
 #include "util/fmt.hpp"
 
 namespace dreamsim::resource {
+namespace {
+
+/// One node's share of StoreTotals, from its O(1) counters. Failed nodes
+/// are blank, so they count as blank nodes.
+StoreTotals Contribution(const Node& n) {
+  StoreTotals t;
+  t.total_fabric_area = n.total_area();
+  if (n.blank()) {
+    t.blank_nodes = 1;
+    return t;
+  }
+  t.configured_area = n.total_area() - n.available_area();
+  t.wasted_area = n.available_area();
+  if (n.busy()) {
+    t.busy_nodes = 1;
+    t.running_tasks = n.running_tasks();
+  } else {
+    t.idle_wasted_area = n.available_area();
+  }
+  return t;
+}
+
+/// Replaces a node's `before` contribution to `totals` with `after`.
+void Shift(StoreTotals& totals, const StoreTotals& before,
+           const StoreTotals& after) {
+  // Subtract first: `totals` already includes `before`, so the unsigned
+  // counts never wrap.
+  const auto shift = [&](auto StoreTotals::*field) {
+    totals.*field = totals.*field - before.*field + after.*field;
+  };
+  shift(&StoreTotals::wasted_area);
+  shift(&StoreTotals::idle_wasted_area);
+  shift(&StoreTotals::configured_area);
+  shift(&StoreTotals::total_fabric_area);
+  shift(&StoreTotals::blank_nodes);
+  shift(&StoreTotals::busy_nodes);
+  shift(&StoreTotals::running_tasks);
+}
+
+}  // namespace
 
 ResourceStore::ResourceStore(ConfigCatalogue configs)
     : configs_(std::move(configs)),
@@ -38,6 +78,7 @@ ResourceStore::ResourceStore(ResourceStore&& other) noexcept
       blank_pos_(std::move(other.blank_pos_)),
       busy_area_(std::move(other.busy_area_)),
       failed_count_(other.failed_count_),
+      totals_(other.totals_),
       index_(std::move(other.index_)),
       shard_(std::move(other.shard_)),
       min_config_area_(other.min_config_area_),
@@ -56,6 +97,7 @@ ResourceStore& ResourceStore::operator=(ResourceStore&& other) noexcept {
   blank_pos_ = std::move(other.blank_pos_);
   busy_area_ = std::move(other.busy_area_);
   failed_count_ = other.failed_count_;
+  totals_ = other.totals_;
   index_ = std::move(other.index_);
   shard_ = std::move(other.shard_);
   min_config_area_ = other.min_config_area_;
@@ -110,7 +152,8 @@ void ResourceStore::PrefetchDecision(Area needed_area, FamilyId family) {
   if (ShardAnswers()) shard_->PrefetchDecision(needed_area, family);
 }
 
-void ResourceStore::RefreshIndex(NodeId node_id) {
+void ResourceStore::Refresh(NodeId node_id, const StoreTotals& before) {
+  Shift(totals_, before, Contribution(nodes_[node_id.value()]));
   if (index_) {
     index_->Refresh(nodes_[node_id.value()], busy_area_[node_id.value()]);
   }
@@ -136,6 +179,7 @@ NodeId ResourceStore::AddNode(Area total_area, FamilyId family, Caps caps,
   blank_pos_.push_back(blank_.size());
   blank_.push_back(id);
   busy_area_.push_back(0);
+  Shift(totals_, StoreTotals{}, Contribution(nodes_.back()));
   if (index_) index_->AddNode(nodes_.back(), 0);
   if (shard_) shard_->AddNode(nodes_.back(), 0);
   return id;
@@ -557,12 +601,13 @@ EntryRef ResourceStore::Configure(NodeId node_id, ConfigId config) {
     throw std::logic_error(
         "Configure: bitstream family incompatible with the node");
   }
+  const StoreTotals before = Contribution(n);
   const bool was_blank = n.blank();
   const SlotIndex slot = n.SendBitstream(c);
   if (was_blank) RemoveFromBlank(node_id);
   const EntryRef entry{node_id, slot};
   idle_list_mut(config).Add(entry, meter_);
-  RefreshIndex(node_id);
+  Refresh(node_id, before);
   return entry;
 }
 
@@ -570,19 +615,21 @@ void ResourceStore::ReclaimSlot(EntryRef entry) {
   Node& n = node(entry.node);
   const ConfigTaskPair& pair = n.Slot(entry.slot);
   if (!pair.idle()) throw std::logic_error("ReclaimSlot: entry is busy");
+  const StoreTotals before = Contribution(n);
   if (!idle_list_mut(pair.config).Remove(entry, meter_)) {
     throw std::logic_error("ReclaimSlot: entry missing from idle list");
   }
   const Area area = configs_.Get(pair.config).required_area;
   n.MakeNodePartiallyBlank(entry.slot, area);
   if (n.blank()) PushBlank(entry.node);
-  RefreshIndex(entry.node);
+  Refresh(entry.node, before);
 }
 
 void ResourceStore::BlankNode(NodeId node_id) {
   Node& n = node(node_id);
   if (n.busy()) throw std::logic_error("BlankNode: node has running tasks");
   if (n.blank()) return;
+  const StoreTotals before = Contribution(n);
   n.ForEachSlot([&](SlotIndex slot, const ConfigTaskPair& pair) {
     if (!idle_list_mut(pair.config).Remove(EntryRef{node_id, slot}, meter_)) {
       throw std::logic_error("BlankNode: entry missing from idle list");
@@ -590,19 +637,20 @@ void ResourceStore::BlankNode(NodeId node_id) {
   });
   n.MakeNodeBlank();
   PushBlank(node_id);
-  RefreshIndex(node_id);
+  Refresh(node_id, before);
 }
 
 void ResourceStore::AssignTask(EntryRef entry, TaskId task) {
   Node& n = node(entry.node);
   const ConfigId config = n.Slot(entry.slot).config;
+  const StoreTotals before = Contribution(n);
   if (!idle_list_mut(config).Remove(entry, meter_)) {
     throw std::logic_error("AssignTask: entry missing from idle list");
   }
   n.AddTaskToNode(entry.slot, task);
   busy_list_mut(config).Add(entry, meter_);
   busy_area_[entry.node.value()] += configs_.Get(config).required_area;
-  RefreshIndex(entry.node);
+  Refresh(entry.node, before);
 }
 
 TaskId ResourceStore::ReleaseTask(EntryRef entry) {
@@ -610,19 +658,21 @@ TaskId ResourceStore::ReleaseTask(EntryRef entry) {
   const ConfigTaskPair& pair = n.Slot(entry.slot);
   const ConfigId config = pair.config;
   const TaskId task = pair.task;
+  const StoreTotals before = Contribution(n);
   if (!busy_list_mut(config).Remove(entry, meter_)) {
     throw std::logic_error("ReleaseTask: entry missing from busy list");
   }
   n.RemoveTaskFromNode(entry.slot);
   idle_list_mut(config).Add(entry, meter_);
   busy_area_[entry.node.value()] -= configs_.Get(config).required_area;
-  RefreshIndex(entry.node);
+  Refresh(entry.node, before);
   return task;
 }
 
 std::vector<TaskId> ResourceStore::FailNode(NodeId node_id) {
   Node& n = node(node_id);
   if (n.failed()) throw std::logic_error("FailNode: node already failed");
+  const StoreTotals before = Contribution(n);
   const bool was_blank = n.blank();
   std::vector<TaskId> killed;
   n.ForEachSlot([&](SlotIndex slot, const ConfigTaskPair& pair) {
@@ -648,33 +698,18 @@ std::vector<TaskId> ResourceStore::FailNode(NodeId node_id) {
   if (was_blank) RemoveFromBlank(node_id);
   n.MarkFailed();
   ++failed_count_;
-  RefreshIndex(node_id);
+  Refresh(node_id, before);
   return killed;
 }
 
 void ResourceStore::RepairNode(NodeId node_id) {
   Node& n = node(node_id);
   if (!n.failed()) throw std::logic_error("RepairNode: node is not failed");
+  const StoreTotals before = Contribution(n);
   n.MarkRepaired();
   --failed_count_;
   PushBlank(node_id);
-  RefreshIndex(node_id);
-}
-
-Area ResourceStore::TotalWastedArea() const {
-  Area total = 0;
-  for (const Node& n : nodes_) {
-    if (!n.blank()) total += n.available_area();
-  }
-  return total;
-}
-
-Area ResourceStore::TotalIdleWastedArea() const {
-  Area total = 0;
-  for (const Node& n : nodes_) {
-    if (!n.blank() && !n.busy()) total += n.available_area();
-  }
-  return total;
+  Refresh(node_id, before);
 }
 
 std::uint64_t ResourceStore::TotalReconfigurations() const {
@@ -853,6 +888,13 @@ std::vector<std::string> ResourceStore::ValidateConsistency() const {
   if (failed != failed_count_) {
     violations.push_back(Format("failed-node tally {} != recount {}",
                                 failed_count_, failed));
+  }
+
+  // The maintained system totals must match a fresh sum over the nodes.
+  StoreTotals recount;
+  for (const Node& n : nodes_) Shift(recount, StoreTotals{}, Contribution(n));
+  if (recount != totals_) {
+    violations.push_back("system totals differ from a recount over the nodes");
   }
 
   // Cross-check every indexed structure against ground truth.

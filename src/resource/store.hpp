@@ -52,6 +52,23 @@ enum class ShardBy : std::uint8_t {
 
 class ShardEngine;
 
+/// Whole-system aggregates over the node population (DESIGN.md "System
+/// totals: one source of truth"). The store maintains one record at its
+/// mutation points; the monitor, the metrics, the timeline sampler and the
+/// state observer all read it. Integer throughout, so every reader sees
+/// exactly the sums an O(N) walk over the nodes would produce.
+struct StoreTotals {
+  Area wasted_area = 0;          // Eq. 6: Σ AvailableArea, non-blank nodes
+  Area idle_wasted_area = 0;     // Eq. 6 restricted to non-busy nodes
+  Area configured_area = 0;      // Σ (TotalArea − AvailableArea)
+  Area total_fabric_area = 0;    // Σ TotalArea
+  std::size_t blank_nodes = 0;   // zero-configuration nodes, failed included
+  std::size_t busy_nodes = 0;    // nodes running >= 1 task
+  std::size_t running_tasks = 0;
+
+  bool operator==(const StoreTotals&) const = default;
+};
+
 /// Owning store of nodes + configurations + membership lists.
 class ResourceStore {
  public:
@@ -98,6 +115,9 @@ class ResourceStore {
   [[nodiscard]] const EntryList& busy_list(ConfigId config) const;
   [[nodiscard]] std::size_t blank_node_count() const { return blank_.size(); }
   [[nodiscard]] std::size_t failed_node_count() const { return failed_count_; }
+
+  /// The maintained system totals. O(1); not charged to the meter.
+  [[nodiscard]] const StoreTotals& totals() const { return totals_; }
 
   // --- Indexed fast path (DESIGN.md "Scheduler index") ---
 
@@ -232,14 +252,16 @@ class ResourceStore {
   // --- Metrics support ---
 
   /// Eq. 6: sum of AvailableArea over nodes holding >= 1 configuration.
-  /// Not charged to the workload meter (it is metric bookkeeping, not
-  /// scheduler effort).
-  [[nodiscard]] Area TotalWastedArea() const;
+  /// O(1) read of totals(); not charged to the workload meter (it is
+  /// metric bookkeeping, not scheduler effort).
+  [[nodiscard]] Area TotalWastedArea() const { return totals_.wasted_area; }
 
   /// Variant of Eq. 6 restricted to configured nodes that are currently
   /// idle (no running task) — area that is provably going to waste right
-  /// now. Backs WasteAccounting::kIdleConfigured.
-  [[nodiscard]] Area TotalIdleWastedArea() const;
+  /// now. Backs WasteAccounting::kIdleConfigured. O(1).
+  [[nodiscard]] Area TotalIdleWastedArea() const {
+    return totals_.idle_wasted_area;
+  }
 
   /// Sum of reconfig_count over all nodes.
   [[nodiscard]] std::uint64_t TotalReconfigurations() const;
@@ -257,8 +279,9 @@ class ResourceStore {
   [[nodiscard]] std::size_t UsedNodeCount() const;
 
   /// Checks every structural invariant (Eq. 4 per node; each live slot in
-  /// exactly the matching idle/busy list; blank list exact). Returns a
-  /// human-readable description per violation; empty means consistent.
+  /// exactly the matching idle/busy list; blank list exact; totals() equal
+  /// to a fresh sum over the nodes). Returns a human-readable description
+  /// per violation; empty means consistent.
   [[nodiscard]] std::vector<std::string> ValidateConsistency() const;
 
  private:
@@ -276,7 +299,10 @@ class ResourceStore {
   void ReserveEntryLists(int node_count);
   void RemoveFromBlank(NodeId node_id);
   void PushBlank(NodeId node_id);
-  void RefreshIndex(NodeId node_id);
+  /// The single post-mutation hook: moves totals_ by the node's change
+  /// since `before` (its contribution captured ahead of the mutation) and
+  /// refreshes the index and shard mirrors.
+  void Refresh(NodeId node_id, const StoreTotals& before);
   /// True when scheduler queries should be answered by the shard engine:
   /// always in indexed mode (per-shard lookups are O(K log n)); in scan
   /// mode only when the pool is actually parallel — a one-thread broadcast
@@ -291,6 +317,7 @@ class ResourceStore {
   std::vector<std::size_t> blank_pos_;  // node id -> blank_ slot, kNotBlank
   std::vector<Area> busy_area_;         // node id -> sum of busy entry areas
   std::size_t failed_count_ = 0;        // nodes currently failed
+  StoreTotals totals_;                  // maintained by AddNode + Refresh
   std::unique_ptr<StoreIndex> index_;   // null = scan mode
   std::unique_ptr<ShardEngine> shard_;  // null = sequential kernel
   Area min_config_area_ = 0;            // smallest catalogue area (slot hint)

@@ -15,33 +15,17 @@ NodeDynamicInfo ResourceInformationManager::DynamicInfo(NodeId id) const {
                          n.busy(),         n.reconfig_count()};
 }
 
-std::vector<NodeDynamicInfo> ResourceInformationManager::AllDynamicInfo()
-    const {
-  std::vector<NodeDynamicInfo> infos;
-  infos.reserve(store_.node_count());
-  for (const resource::Node& n : store_.nodes()) {
-    infos.push_back(DynamicInfo(n.id()));
-  }
-  return infos;
-}
-
 SystemSnapshot ResourceInformationManager::Snapshot(Tick now) const {
+  const resource::StoreTotals& t = store_.totals();
   SystemSnapshot s;
   s.at = now;
   s.total_nodes = store_.node_count();
-  for (const resource::Node& n : store_.nodes()) {
-    s.total_fabric_area += n.total_area();
-    if (n.blank()) {
-      ++s.blank_nodes;
-      continue;
-    }
-    s.configured_area += n.total_area() - n.available_area();
-    s.wasted_area += n.available_area();
-    if (n.busy()) {
-      ++s.busy_nodes;
-      s.running_tasks += n.running_tasks();
-    }
-  }
+  s.blank_nodes = t.blank_nodes;
+  s.busy_nodes = t.busy_nodes;
+  s.running_tasks = t.running_tasks;
+  s.total_fabric_area = t.total_fabric_area;
+  s.configured_area = t.configured_area;
+  s.wasted_area = t.wasted_area;
   if (s.total_fabric_area > 0) {
     s.area_utilization = static_cast<double>(s.configured_area) /
                          static_cast<double>(s.total_fabric_area);

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "resource/store.hpp"
 #include "util/types.hpp"
@@ -57,9 +56,9 @@ class ResourceInformationManager {
 
   [[nodiscard]] NodeStaticInfo StaticInfo(NodeId id) const;
   [[nodiscard]] NodeDynamicInfo DynamicInfo(NodeId id) const;
-  [[nodiscard]] std::vector<NodeDynamicInfo> AllDynamicInfo() const;
 
-  /// Aggregates the whole system at tick `now`.
+  /// Aggregates the whole system at tick `now`: an O(1) read of the
+  /// store's maintained totals.
   [[nodiscard]] SystemSnapshot Snapshot(Tick now) const;
 
   [[nodiscard]] const resource::ResourceStore& store() const { return store_; }

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 namespace dreamsim {
@@ -161,15 +162,20 @@ TEST(Rng, PoissonZeroLambdaIsZero) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.poisson(0.0), 0);
 }
 
+// ctest names each case after gtest's byte dump of its parameter, so the struct
+// must have no padding: padding bytes are indeterminate and would give the
+// cases a different name on every build.
 struct BinomialCase {
   double p;
-  int n;
+  std::int64_t n;
 };
+static_assert(sizeof(BinomialCase) == sizeof(double) + sizeof(std::int64_t));
 
 class RngBinomialTest : public ::testing::TestWithParam<BinomialCase> {};
 
 TEST_P(RngBinomialTest, MomentsMatch) {
-  const auto [p, trials] = GetParam();
+  const double p = GetParam().p;
+  const int trials = static_cast<int>(GetParam().n);
   Rng rng(37);
   const int samples = 100000;
   double sum = 0.0;

@@ -178,6 +178,23 @@ TEST(StructureAuditorCorruption, ExposedFailedNodeIsFaultVisibility) {
   EXPECT_EQ(Slugs(report), expected) << report.Render();
 }
 
+TEST(StructureAuditorCorruption, SkewedTotalsAreStoreTotals) {
+  for (const bool indexed : {false, true}) {
+    ResourceStore store = MakePopulatedStore(indexed);
+    // Every node and list is intact; only the maintained Eq. 6 total is off,
+    // so only the O(N) recount can see it.
+    StructureCorruptor::SkewStoreTotals(store);
+    const AuditReport report = StructureAuditor::AuditStore(store);
+    ASSERT_FALSE(report.ok()) << "indexed=" << indexed;
+    EXPECT_EQ(Slugs(report), std::set<std::string>{"store.totals"})
+        << report.Render();
+    ASSERT_EQ(report.violations.size(), 1u) << report.Render();
+    EXPECT_EQ(report.violations[0].path, "store totals.wasted_area");
+    // The store's own self-check sees it too.
+    EXPECT_FALSE(store.ValidateConsistency().empty());
+  }
+}
+
 TEST(StructureAuditorCorruption, MisplacedBucketSeqIsSusidxBucket) {
   SuspensionQueue queue(/*capacity=*/0);
   queue.SetDrainIndexed(true);

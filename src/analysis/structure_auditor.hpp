@@ -66,8 +66,7 @@ class StructureAuditor {
  public:
   /// Audits the Fig. 3 lists, the blank list, the Eq. 4 area accounting,
   /// the fault-visibility rules, the maintained system totals, and (when
-  /// enabled) the StoreIndex mirror and the sharded kernel's partition +
-  /// per-shard indexes.
+  /// enabled) the StoreIndex mirror.
   [[nodiscard]] static AuditReport AuditStore(
       const resource::ResourceStore& store);
 
@@ -111,8 +110,6 @@ class StructureAuditor {
                           AuditReport& report);
   static void AuditStoreIndex(const resource::ResourceStore& store,
                               AuditReport& report);
-  static void AuditShards(const resource::ResourceStore& store,
-                          AuditReport& report);
   static void AuditSusIndex(const resource::SuspensionQueue& queue,
                             AuditReport& report);
 };

@@ -116,18 +116,6 @@ struct SimulationConfig {
   /// FIFO scans, under the same bit-identical contract as
   /// `scheduler_index`. Off = reference scans.
   bool drain_index = true;
-  /// Shard count of the sharded parallel kernel (DESIGN.md §13): the node
-  /// population is partitioned into this many shards, each answering the
-  /// hot node-selection queries independently, with a deterministic fixed
-  /// shard-order merge. Decisions and every metric (step counts included)
-  /// are bit-identical to the sequential kernel. <= 1 = sequential
-  /// (default).
-  std::size_t shards = 1;
-  /// OS threads the sharded kernel fans out on; 0 = one per shard, capped
-  /// at hardware concurrency. Thread count never affects results.
-  std::size_t kernel_threads = 0;
-  /// Node-to-shard assignment rule (pure function of node id/family).
-  resource::ShardBy shard_by = resource::ShardBy::kRoundRobin;
 
   // --- Fault injection (DESIGN.md §10; disabled by default) ---
   /// Node failure/repair model: a seeded MTBF/MTTR process plus scripted

@@ -42,16 +42,6 @@ enum class HostRank : std::uint8_t {
   kWorstFit,  // maximum AvailableArea among fitting nodes (ties: min id)
 };
 
-/// Node-to-shard assignment rule for the sharded kernel (DESIGN.md §13).
-/// Both rules are pure functions of (node id, family, shard count), so the
-/// partition — and with it every merged decision — is reproducible.
-enum class ShardBy : std::uint8_t {
-  kRoundRobin,  // id % shards
-  kFamily,      // family % shards (config-class locality)
-};
-
-class ShardEngine;
-
 /// Whole-system aggregates over the node population (DESIGN.md "System
 /// totals: one source of truth"). The store maintains one record at its
 /// mutation points; the monitor, the metrics, the timeline sampler and the
@@ -127,28 +117,6 @@ class ResourceStore {
   /// toggled at any point. Default: enabled.
   void SetIndexed(bool enabled);
   [[nodiscard]] bool indexed() const { return index_ != nullptr; }
-
-  // --- Sharded parallel kernel (DESIGN.md §13) ---
-
-  /// Partitions the node population into `shards` shards answered on a
-  /// persistent pool of `threads` OS threads (0 = one per shard, capped at
-  /// hardware concurrency). `shards` <= 1 disables sharding. Decisions and
-  /// WorkloadMeter charges stay bit-identical to the sequential kernel:
-  /// each shard answers the hot node-selection queries over its members
-  /// only, and a fixed shard-order merge on (area, node id) keys — never
-  /// shard or thread ids — picks the global winner. With the scheduler
-  /// index enabled the shards answer from shard-local sparse StoreIndexes
-  /// instead of parallel scans. Rebuilds from current node state, so it
-  /// can be toggled at any point.
-  void SetShards(std::size_t shards, std::size_t threads = 0,
-                 ShardBy by = ShardBy::kRoundRobin);
-  [[nodiscard]] bool sharded() const { return shard_ != nullptr; }
-  [[nodiscard]] const ShardEngine* shard_engine() const { return shard_.get(); }
-
-  /// Hints the sharded engine that the next queries share one
-  /// (area, family) key, letting it answer all of them from a single
-  /// broadcast. No-op without shards; never changes results.
-  void PrefetchDecision(Area needed_area, FamilyId family);
 
   /// TotalArea minus the areas of busy entries: the Algorithm 1 upper bound
   /// on what reclaiming idle entries could free ("max reclaimable area").
@@ -301,13 +269,8 @@ class ResourceStore {
   void PushBlank(NodeId node_id);
   /// The single post-mutation hook: moves totals_ by the node's change
   /// since `before` (its contribution captured ahead of the mutation) and
-  /// refreshes the index and shard mirrors.
+  /// refreshes the index.
   void Refresh(NodeId node_id, const StoreTotals& before);
-  /// True when scheduler queries should be answered by the shard engine:
-  /// always in indexed mode (per-shard lookups are O(K log n)); in scan
-  /// mode only when the pool is actually parallel — a one-thread broadcast
-  /// would lose the reference scans' early exits for nothing.
-  [[nodiscard]] bool ShardAnswers() const;
 
   ConfigCatalogue configs_;
   std::vector<Node> nodes_;
@@ -319,7 +282,6 @@ class ResourceStore {
   std::size_t failed_count_ = 0;        // nodes currently failed
   StoreTotals totals_;                  // maintained by AddNode + Refresh
   std::unique_ptr<StoreIndex> index_;   // null = scan mode
-  std::unique_ptr<ShardEngine> shard_;  // null = sequential kernel
   Area min_config_area_ = 0;            // smallest catalogue area (slot hint)
   WorkloadMeter meter_;
 };

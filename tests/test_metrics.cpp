@@ -1,7 +1,8 @@
 // MetricsRegistry unit tests (DESIGN.md §16): catalogue well-formedness,
-// the log2 binning, per-cell merge rules (sum / max / bin-wise sum) in
-// fixed shard order, the enabled gate on the hot-path hooks, and the three
-// expositions (JSONL snapshot object, Prometheus text 0.0.4, report block).
+// the log2 binning, the per-kind write rules (add / last write / max /
+// bin-wise add) under concurrent writers, the enabled gate on the hot-path
+// hooks, and the three expositions (JSONL snapshot object, Prometheus text
+// 0.0.4, report block).
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,8 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <vector>
 
 #include "obs/metrics_export.hpp"
 
@@ -79,21 +82,25 @@ TEST(MetricsRegistryTest, BinOfMatchesLog2Spacing) {
             MetricsRegistry::kBins - 1);
 }
 
-// --- Merge rules ------------------------------------------------------------
+// --- Write rules ------------------------------------------------------------
 
-TEST(MetricsRegistryTest, CountersAndGaugesSumAcrossCellsInUse) {
+TEST(MetricsRegistryTest, CountersAddAcrossThreadsGaugesKeepLastWrite) {
   const ScopedRegistry scoped;
   auto& reg = MetricsRegistry::Instance();
-  reg.Add(MetricId::kPoolJobsExecuted, 3, /*cell=*/1);
-  reg.Add(MetricId::kPoolJobsExecuted, 5, /*cell=*/2);
-  reg.Add(MetricId::kPoolJobsExecuted, 7, /*cell=*/4);  // beyond cells_used
-  reg.NoteShardCells(2);
+  // Sweep and replication workers share the registry: concurrent counter
+  // writes must all land.
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 4; ++t) {
+    writers.emplace_back([&reg] {
+      for (int i = 0; i < 1000; ++i) reg.Add(MetricId::kTasksCompleted, 2);
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  reg.GaugeSet(MetricId::kEvqDepth, 9);
+  reg.GaugeSet(MetricId::kEvqDepth, 5);
   const MetricsSnapshot snap = reg.TakeSnapshot();
-  EXPECT_EQ(snap.cells_used, 3u);
-  // Only cells [0, cells_used) merge; cell 4 recorded but is not in use.
-  EXPECT_EQ(snap.value[Index(MetricId::kPoolJobsExecuted)], 8u);
-  EXPECT_EQ(snap.cell[Index(MetricId::kPoolJobsExecuted)][1], 3u);
-  EXPECT_EQ(snap.cell[Index(MetricId::kPoolJobsExecuted)][2], 5u);
+  EXPECT_EQ(snap.value[Index(MetricId::kTasksCompleted)], 8000u);
+  EXPECT_EQ(snap.value[Index(MetricId::kEvqDepth)], 5u);
 }
 
 TEST(MetricsRegistryTest, GaugeMaxMergesByMax) {
@@ -130,24 +137,16 @@ TEST(MetricsRegistryTest, ResetZeroesEverySlot) {
   auto& reg = MetricsRegistry::Instance();
   reg.Add(MetricId::kEvqPushed, 9);
   reg.Observe(MetricId::kEventGapTicks, 42);
-  reg.NoteShardCells(4);
   reg.Reset();
   const MetricsSnapshot snap = reg.TakeSnapshot();
-  EXPECT_EQ(snap.cells_used, 1u);
   for (std::size_t m = 0; m < kMetricCount; ++m) {
     EXPECT_EQ(snap.value[m], 0u) << kMetricInfo[m].name;
   }
-}
-
-TEST(MetricsRegistryTest, ShardImbalanceDerivesFromBusyNs) {
-  const ScopedRegistry scoped;
-  auto& reg = MetricsRegistry::Instance();
-  reg.Add(MetricId::kPoolShardBusyNs, 100, /*cell=*/1);
-  reg.Add(MetricId::kPoolShardBusyNs, 300, /*cell=*/2);
-  reg.NoteShardCells(2);
-  // mean = 200, max = 300 -> 100 * (300 - 200) / 200 = 50%.
-  EXPECT_EQ(reg.TakeSnapshot().value[Index(MetricId::kShardImbalancePct)],
-            50u);
+  const MetricsSnapshot::Hist& h =
+      snap.hist[kHistSlotOf[Index(MetricId::kEventGapTicks)]];
+  EXPECT_EQ(h.sum, 0u);
+  EXPECT_EQ(h.max, 0u);
+  EXPECT_EQ(h.bins[MetricsRegistry::BinOf(42)], 0u);
 }
 
 // --- Hook gate --------------------------------------------------------------
@@ -208,12 +207,14 @@ TEST(MetricsExport, JsonSnapshotCarriesLabelsAndValues) {
 TEST(MetricsExport, JsonModelPlaneExcludesHostMetrics) {
   const ScopedRegistry scoped;
   auto& reg = MetricsRegistry::Instance();
-  reg.Add(MetricId::kPoolBroadcasts, 5);
   const std::string json = RenderMetricsJson(
       reg.TakeSnapshot(), Tick{0}, 0, /*final=*/false, /*include_host=*/false);
-  EXPECT_EQ(json.find("pool_broadcasts_total"), std::string::npos);
-  EXPECT_EQ(json.find("shard_imbalance_pct"), std::string::npos);
-  EXPECT_NE(json.find("dreamsim_evq_pushed_total"), std::string::npos);
+  for (const MetricInfo& info : kMetricInfo) {
+    const std::string quoted = "\"dreamsim_" + std::string(info.name) + "\"";
+    EXPECT_EQ(json.find(quoted) != std::string::npos,
+              info.plane == MetricPlane::kModel)
+        << info.name;
+  }
 }
 
 TEST(MetricsExport, PromExpositionIsWellFormed) {
@@ -222,8 +223,6 @@ TEST(MetricsExport, PromExpositionIsWellFormed) {
   reg.Add(MetricId::kEvqPushed, 11);
   reg.Observe(MetricId::kEventGapTicks, 3);
   reg.Observe(MetricId::kEventGapTicks, 3);
-  reg.Add(MetricId::kPoolJobsExecuted, 4, /*cell=*/1);
-  reg.NoteShardCells(1);
   const std::string prom = RenderMetricsProm(reg.TakeSnapshot());
   EXPECT_NE(prom.find("# HELP dreamsim_evq_pushed_total"), std::string::npos);
   EXPECT_NE(prom.find("# TYPE dreamsim_evq_pushed_total counter\n"),
@@ -239,9 +238,8 @@ TEST(MetricsExport, PromExpositionIsWellFormed) {
   EXPECT_NE(prom.find("dreamsim_event_gap_ticks_sum 6\n"), std::string::npos);
   EXPECT_NE(prom.find("dreamsim_event_gap_ticks_count 2\n"),
             std::string::npos);
-  // Per-shard metrics expose one labelled series per shard cell in use.
-  EXPECT_NE(prom.find("dreamsim_pool_jobs_executed_total{shard=\"0\"} 4\n"),
-            std::string::npos);
+  // One unlabelled sample per scalar metric.
+  EXPECT_EQ(prom.find("dreamsim_evq_pushed_total{"), std::string::npos);
 }
 
 TEST(MetricsExport, ReportBlockListsOnlyNonZeroMetrics) {

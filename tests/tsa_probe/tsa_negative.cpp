@@ -1,31 +1,26 @@
 // Negative thread-safety probe (cmake/ThreadSafety.cmake).
 //
-// Reads ShardPool's guarded job queue without holding the mutex. Under
-// Clang with -Werror=thread-safety this translation unit MUST fail to
-// compile; if it ever builds, the annotations have gone vacuous (e.g. the
-// shim expanded to nothing under a compiler that was supposed to enforce
-// them) and the configure step aborts. The probe reaches the private
-// members through the ShardPoolTsaProbe friend seam, so the failure it
-// provokes can only come from the thread-safety analysis — never from
-// access control.
+// Reads a GUARDED_BY member without holding its mutex. Under Clang with
+// -Werror=thread-safety this translation unit MUST fail to compile; if it
+// ever builds, the annotations have gone vacuous (e.g. the shim expanded
+// to nothing under a compiler that was supposed to enforce them) and the
+// configure step aborts. The probe struct is public and self-contained, so
+// the failure it provokes can only come from the thread-safety analysis —
+// never from access control or a missing product header.
 //
 // This file is compiled by try_compile only; it is not part of any
 // product or test target.
 #include <cstddef>
 
-#include "sim/shard_pool.hpp"
+#include "util/sync.hpp"
+#include "util/thread_annotations.hpp"
 
-namespace dreamsim::sim {
-
-class ShardPoolTsaProbe {
- public:
-  static std::size_t UnguardedJobCount(ShardPool& pool) {
-    return pool.jobs_;  // guarded by pool.mut_, read without it: must fail
-  }
+/// Same shape as tsa_positive.cpp's probe struct.
+struct TsaProbeCounter {
+  dreamsim::util::Mutex mu;
+  std::size_t value GUARDED_BY(mu) = 0;
 };
 
-}  // namespace dreamsim::sim
-
-std::size_t ProbeEntry(dreamsim::sim::ShardPool& pool) {
-  return dreamsim::sim::ShardPoolTsaProbe::UnguardedJobCount(pool);
+std::size_t ProbeEntry(TsaProbeCounter& counter) {
+  return counter.value;  // guarded by counter.mu, read without it: must fail
 }

@@ -1,7 +1,7 @@
 // Positive thread-safety probe (cmake/ThreadSafety.cmake).
 //
 // The well-locked twin of tsa_negative.cpp: reads the same guarded member
-// through the same friend seam, but under the mutex. This translation unit
+// of the same probe struct, but under its mutex. This translation unit
 // MUST compile cleanly with -Werror=thread-safety. Together the pair
 // proves the negative probe's failure is specific to the missing lock —
 // not a broken include path, a C++ standard mismatch, or any other
@@ -12,21 +12,17 @@
 // product or test target.
 #include <cstddef>
 
-#include "sim/shard_pool.hpp"
 #include "util/sync.hpp"
+#include "util/thread_annotations.hpp"
 
-namespace dreamsim::sim {
-
-class ShardPoolTsaProbe {
- public:
-  static std::size_t GuardedJobCount(ShardPool& pool) {
-    const util::MutexLock lock(pool.mut_);
-    return pool.jobs_;
-  }
+/// The smallest shape of guarded cross-thread state: one counter behind
+/// one annotated mutex (the log sink's pattern).
+struct TsaProbeCounter {
+  dreamsim::util::Mutex mu;
+  std::size_t value GUARDED_BY(mu) = 0;
 };
 
-}  // namespace dreamsim::sim
-
-std::size_t ProbeEntry(dreamsim::sim::ShardPool& pool) {
-  return dreamsim::sim::ShardPoolTsaProbe::GuardedJobCount(pool);
+std::size_t ProbeEntry(TsaProbeCounter& counter) {
+  const dreamsim::util::MutexLock lock(counter.mu);
+  return counter.value;
 }

@@ -1,6 +1,5 @@
-// Structure-audit overhead smoke (DESIGN.md §12), emitted as
-// machine-readable JSON so the perf trajectory can be tracked across
-// commits.
+// Structure-audit overhead smoke (DESIGN.md §12); writes BENCH_audit.json
+// (docs/formats.md "Benchmark JSON").
 //
 // The auditor must be pay-for-what-you-use: with `--audit=off` the only
 // residue on the simulator's hot path is one enum comparison per scheduler
@@ -17,48 +16,19 @@
 // Every mode must also leave the paper-facing metrics bit-identical: the
 // auditor is read-only by construction and never charges the
 // WorkloadMeter, and this bench is the executable proof.
-//
-// Output: BENCH_audit.json next to the executable (override with --out).
-// --quick shrinks the workload for CI smoke runs. Exit status is non-zero
-// if metrics diverge, the end-mode budget is breached, or an audit
-// reports violations.
-#include <algorithm>
-#include <ctime>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "core/simulator.hpp"
-#include "util/cli.hpp"
-#include "util/fmt.hpp"
-#include "util/log.hpp"
+#include "sim_harness.hpp"
 
 namespace {
 
 using namespace dreamsim;
+using namespace dreamsim::bench;
 using dreamsim::core::MetricsReport;
 using dreamsim::core::SimulationConfig;
 using dreamsim::core::Simulator;
-
-/// Process CPU time: the gate is a ~1% signal, and wall clock on a shared
-/// CI runner includes scheduler steal that dwarfs it (see bench_obs).
-double CpuSeconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-/// Fixed-point rendering (util::Format pads but has no precision specs).
-std::string Fixed(double value, int precision) {
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os << std::fixed << std::setprecision(precision) << value;
-  return os.str();
-}
 
 SimulationConfig BaseConfig(int tasks) {
   SimulationConfig config;  // Table II: 200 nodes, 50 configs
@@ -76,7 +46,6 @@ struct TimedRun {
   MetricsReport report;
   double seconds = 0.0;
   bool audit_clean = true;
-  std::string first_violation;
 };
 
 TimedRun RunOnce(const SimulationConfig& config, analysis::AuditMode mode) {
@@ -91,141 +60,46 @@ TimedRun RunOnce(const SimulationConfig& config, analysis::AuditMode mode) {
   // doubles as a large-scale clean-run check for the auditor itself.
   const analysis::AuditReport audit = sim.AuditStructures();
   run.audit_clean = audit.ok();
-  if (!audit.ok()) run.first_violation = audit.Render(1);
+  if (!audit.ok()) std::cerr << audit.Render(1) << "\n";
   return run;
-}
-
-bool PaperMetricsIdentical(const MetricsReport& a, const MetricsReport& b) {
-  return a.completed_tasks == b.completed_tasks &&
-         a.discarded_tasks == b.discarded_tasks &&
-         a.suspended_ever == b.suspended_ever &&
-         a.avg_wasted_area_per_task == b.avg_wasted_area_per_task &&
-         a.avg_task_running_time == b.avg_task_running_time &&
-         a.avg_reconfig_count_per_node == b.avg_reconfig_count_per_node &&
-         a.avg_config_time_per_task == b.avg_config_time_per_task &&
-         a.avg_waiting_time_per_task == b.avg_waiting_time_per_task &&
-         a.avg_scheduling_steps_per_task == b.avg_scheduling_steps_per_task &&
-         a.total_scheduler_workload == b.total_scheduler_workload &&
-         a.total_simulation_time == b.total_simulation_time &&
-         a.total_reconfigurations == b.total_reconfigurations &&
-         a.failures_injected == b.failures_injected &&
-         a.tasks_killed == b.tasks_killed;
-}
-
-/// Directory of argv[0] (with trailing separator).
-std::string ExecutableDir(const char* argv0) {
-  const std::string path(argv0 != nullptr ? argv0 : "");
-  const std::size_t slash = path.find_last_of("/\\");
-  return slash == std::string::npos ? std::string{} : path.substr(0, slash + 1);
-}
-
-double OverheadPct(double base, double with) {
-  return base > 0.0 ? (with - base) / base * 100.0 : 0.0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  CliParser cli("Structure-audit overhead smoke; writes BENCH_audit.json");
-  cli.AddBool("quick", false, "CI smoke workload (fewer tasks, fewer reps)");
-  cli.AddString("out", "", "output JSON path (default: next to the binary)");
-  if (!cli.Parse(argc, argv)) {
-    std::cerr << cli.error() << "\n";
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.HelpText();
-    return 0;
-  }
-  const bool quick = cli.GetBool("quick");
-  Log::SetLevel(LogLevel::kError);
-  std::string out_path = cli.GetString("out");
-  if (out_path.empty()) {
-    out_path = ExecutableDir(argv[0]) + "BENCH_audit.json";
-  }
+  Bench bench("audit", "Structure-audit overhead smoke",
+              "CI smoke workload (fewer tasks, fewer reps)");
+  if (const auto exit = bench.Start(argc, argv)) return *exit;
 
-  const int tasks = quick ? 5000 : 20000;
-  const int reps = quick ? 3 : 7;
+  const int tasks = bench.quick() ? 5000 : 20000;
+  const int rounds = bench.quick() ? 3 : 7;
   constexpr double kEndBudgetPct = 1.0;
 
   const SimulationConfig config = BaseConfig(tasks);
-
-  // Noise discipline (same as bench_obs): each round runs off and end mode
-  // back-to-back, the overhead is computed against the SAME round's
-  // baseline, and gating uses the MINIMUM per-round overhead — noise is
-  // additive, so the cleanest round is the closest estimate of the true
-  // cost, while a genuine regression inflates every round.
-  double best_off = 1e300;
-  double best_end = 1e300;
-  std::vector<double> end_pcts;
-  TimedRun off_run;
-  TimedRun end_run;
+  constexpr analysis::AuditMode kModes[] = {analysis::AuditMode::kOff,
+                                            analysis::AuditMode::kEnd};
+  TimedRun last[2];
   bool audits_clean = true;
-  std::string first_violation;
-  for (int rep = 0; rep < reps; ++rep) {
-    off_run = RunOnce(config, analysis::AuditMode::kOff);
-    end_run = RunOnce(config, analysis::AuditMode::kEnd);
-    best_off = std::min(best_off, off_run.seconds);
-    best_end = std::min(best_end, end_run.seconds);
-    end_pcts.push_back(OverheadPct(off_run.seconds, end_run.seconds));
-    audits_clean = audits_clean && off_run.audit_clean && end_run.audit_clean;
-    if (!audits_clean && first_violation.empty()) {
-      first_violation = off_run.audit_clean ? end_run.first_violation
-                                            : off_run.first_violation;
-    }
-  }
-  const double end_pct = *std::min_element(end_pcts.begin(), end_pcts.end());
-  std::sort(end_pcts.begin(), end_pcts.end());
-  const double end_pct_median = end_pcts[end_pcts.size() / 2];
-
+  const auto seconds = RunRounds(rounds, 2, [&](std::size_t i) {
+    last[i] = RunOnce(config, kModes[i]);
+    audits_clean = audits_clean && last[i].audit_clean;
+    return last[i].seconds;
+  });
   // One step-mode run for context (ungated: Debug-scale tooling).
-  const TimedRun step_run = RunOnce(config, analysis::AuditMode::kStep);
-  audits_clean = audits_clean && step_run.audit_clean;
-  if (!step_run.audit_clean && first_violation.empty()) {
-    first_violation = step_run.first_violation;
-  }
-  const double step_pct = OverheadPct(best_off, step_run.seconds);
+  const TimedRun step = RunOnce(config, analysis::AuditMode::kStep);
+  audits_clean = audits_clean && step.audit_clean;
 
-  const bool identical =
-      PaperMetricsIdentical(off_run.report, end_run.report) &&
-      PaperMetricsIdentical(off_run.report, step_run.report);
-  const bool within_budget = end_pct < kEndBudgetPct;
-
-  std::cout << Format("structure-audit overhead @ {} nodes, {} tasks\n",
-                      off_run.report.total_nodes, tasks);
-  std::cout << Format("  off: {}s (baseline; hot-path residue = one enum "
-                      "compare per decision)\n",
-                      Fixed(best_off, 3));
-  std::cout << Format("  end: {}s ({}%, median {}%, budget {}%)\n",
-                      Fixed(best_end, 3), Fixed(end_pct, 2),
-                      Fixed(end_pct_median, 2), Fixed(kEndBudgetPct, 1));
-  std::cout << Format("  step (context, ungated): {}s ({}%)\n",
-                      Fixed(step_run.seconds, 3), Fixed(step_pct, 2));
-  std::cout << Format("  paper metrics identical: {}\n",
-                      identical ? "yes" : "NO");
-  std::cout << Format("  audits clean: {}\n", audits_clean ? "yes" : "NO");
-  if (!audits_clean) std::cout << "  " << first_violation << "\n";
-
-  std::ofstream out(out_path);
-  out << "{\n";
-  out << "  \"bench\": \"audit\",\n";
-  out << Format("  \"quick\": {},\n", quick ? "true" : "false");
-  out << Format("  \"nodes\": {},\n", off_run.report.total_nodes);
-  out << Format("  \"tasks\": {},\n", tasks);
-  out << Format("  \"off_seconds\": {},\n", best_off);
-  out << Format("  \"end_seconds\": {},\n", best_end);
-  out << Format("  \"end_overhead_pct\": {},\n", end_pct);
-  out << Format("  \"end_budget_pct\": {},\n", kEndBudgetPct);
-  out << Format("  \"step_seconds\": {},\n", step_run.seconds);
-  out << Format("  \"step_overhead_pct\": {},\n", step_pct);
-  out << Format("  \"metrics_identical\": {},\n",
-                identical ? "true" : "false");
-  out << Format("  \"audits_clean\": {}\n", audits_clean ? "true" : "false");
-  out << "}\n";
-  if (!out.good()) {
-    std::cerr << "error: could not write " << out_path << "\n";
-    return 1;
-  }
-  std::cout << "\nwrote " << out_path << "\n";
-  return identical && within_budget && audits_clean ? 0 : 1;
+  const Params params = {{"nodes", last[0].report.total_nodes},
+                         {"tasks", tasks}};
+  bench.Add({"audit.off", "cpu_seconds_min", Min(seconds[0]), "s", params});
+  bench.Add({"audit.end", "cpu_seconds_min", Min(seconds[1]), "s", params});
+  bench.AddOverhead("audit.end", PairedOverheadPct(seconds[0], seconds[1]),
+                    params, "end_overhead_pct", kEndBudgetPct);
+  bench.Add({"audit.step", "cpu_seconds", step.seconds, "s", params});
+  bench.Add({"audit.step", "overhead_pct",
+             OverheadPct(Min(seconds[0]), step.seconds), "%", params});
+  bench.Check("metrics_identical", SameReport(last[0].report, last[1].report) &&
+                                       SameReport(last[0].report, step.report));
+  bench.Check("audits_clean", audits_clean);
+  return bench.Finish();
 }

@@ -1,6 +1,5 @@
-// Fault-bookkeeping overhead smoke (DESIGN.md §10), emitted as
-// machine-readable JSON so the perf trajectory can be tracked across
-// commits.
+// Fault-bookkeeping overhead smoke (DESIGN.md §10); writes
+// BENCH_faults.json (docs/formats.md "Benchmark JSON").
 //
 // Fault injection must be pay-for-what-you-use: with the fault model
 // disabled the simulator keeps its original zero-overhead paths, and with
@@ -9,44 +8,19 @@
 // terminal-task counting — must cost under 5% wall-clock at the paper's
 // 200-node scale while leaving every paper-facing metric bit-identical to
 // the disabled run. A third, actively failing run is reported for context.
-//
-// Output: BENCH_faults.json next to the executable (override with --out).
-// --quick shrinks the workload for CI smoke runs. Exit status is non-zero
-// if metrics diverge or the no-fire overhead breaches the 5% budget.
-#include <algorithm>
-#include <chrono>
-#include <fstream>
-#include <iomanip>
-#include <iostream>
-#include <sstream>
+#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/simulator.hpp"
-#include "util/cli.hpp"
-#include "util/fmt.hpp"
-#include "util/log.hpp"
+#include "sim_harness.hpp"
 
 namespace {
 
 using namespace dreamsim;
+using namespace dreamsim::bench;
 using dreamsim::core::MetricsReport;
 using dreamsim::core::SimulationConfig;
 using dreamsim::core::Simulator;
-
-using Clock = std::chrono::steady_clock;
-
-double SecondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// Fixed-point rendering (util::Format pads but has no precision specs).
-std::string Fixed(double value, int precision) {
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os << std::fixed << std::setprecision(precision) << value;
-  return os.str();
-}
 
 SimulationConfig BaseConfig(int tasks) {
   SimulationConfig config;  // Table II: 200 nodes, 50 configs
@@ -58,96 +32,36 @@ SimulationConfig BaseConfig(int tasks) {
 
 MetricsReport RunOnce(const SimulationConfig& config, double& seconds) {
   SimulationConfig copy = config;
-  const auto start = Clock::now();
+  const double start = WallSeconds();
   Simulator sim(std::move(copy));
   MetricsReport report = sim.Run();
-  seconds = SecondsSince(start);
+  seconds = WallSeconds() - start;
   return report;
-}
-
-/// Min-of-N wall clock (N runs), so a background scheduling hiccup cannot
-/// fake an overhead breach; returns the report of the last run.
-MetricsReport RunTimed(const SimulationConfig& config, int reps,
-                       double& best_seconds) {
-  best_seconds = 1e300;
-  MetricsReport report;
-  for (int i = 0; i < reps; ++i) {
-    double seconds = 0.0;
-    report = RunOnce(config, seconds);
-    best_seconds = std::min(best_seconds, seconds);
-  }
-  return report;
-}
-
-bool PaperMetricsIdentical(const MetricsReport& a, const MetricsReport& b) {
-  return a.completed_tasks == b.completed_tasks &&
-         a.discarded_tasks == b.discarded_tasks &&
-         a.suspended_ever == b.suspended_ever &&
-         a.avg_wasted_area_per_task == b.avg_wasted_area_per_task &&
-         a.avg_task_running_time == b.avg_task_running_time &&
-         a.avg_reconfig_count_per_node == b.avg_reconfig_count_per_node &&
-         a.avg_config_time_per_task == b.avg_config_time_per_task &&
-         a.avg_waiting_time_per_task == b.avg_waiting_time_per_task &&
-         a.avg_scheduling_steps_per_task == b.avg_scheduling_steps_per_task &&
-         a.total_scheduler_workload == b.total_scheduler_workload &&
-         a.total_simulation_time == b.total_simulation_time &&
-         a.total_reconfigurations == b.total_reconfigurations;
-}
-
-/// Directory of argv[0] (with trailing separator), so the JSON lands next
-/// to the executable regardless of the caller's working directory.
-std::string ExecutableDir(const char* argv0) {
-  const std::string path(argv0 != nullptr ? argv0 : "");
-  const std::size_t slash = path.find_last_of("/\\");
-  return slash == std::string::npos ? std::string{} : path.substr(0, slash + 1);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  CliParser cli(
-      "Fault-bookkeeping overhead smoke; writes BENCH_faults.json");
-  cli.AddBool("quick", false, "CI smoke workload (fewer tasks, fewer reps)");
-  cli.AddString("out", "", "output JSON path (default: next to the binary)");
-  if (!cli.Parse(argc, argv)) {
-    std::cerr << cli.error() << "\n";
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.HelpText();
-    return 0;
-  }
-  const bool quick = cli.GetBool("quick");
-  Log::SetLevel(LogLevel::kError);
-  std::string out_path = cli.GetString("out");
-  if (out_path.empty()) {
-    out_path = ExecutableDir(argv[0]) + "BENCH_faults.json";
-  }
+  Bench bench("faults", "Fault-bookkeeping overhead smoke",
+              "CI smoke workload (fewer tasks, fewer reps)");
+  if (const auto exit = bench.Start(argc, argv)) return *exit;
 
-  const int tasks = quick ? 5000 : 20000;
-  const int reps = quick ? 3 : 5;
+  const int tasks = bench.quick() ? 5000 : 20000;
+  const int rounds = bench.quick() ? 3 : 5;
   constexpr double kOverheadBudgetPct = 5.0;
 
   // Baseline: fault model disabled — the original zero-overhead paths.
-  const SimulationConfig baseline_config = BaseConfig(tasks);
-  double baseline_seconds = 0.0;
-  const MetricsReport baseline =
-      RunTimed(baseline_config, reps, baseline_seconds);
-
   // Armed but never firing: per-node MTBF far past any reachable tick, so
   // all the bookkeeping runs and no failure ever lands.
-  SimulationConfig armed_config = BaseConfig(tasks);
-  armed_config.faults.mtbf = 1e12;
-  armed_config.faults.mttr = 1e6;
-  double armed_seconds = 0.0;
-  const MetricsReport armed = RunTimed(armed_config, reps, armed_seconds);
-
-  const bool identical = PaperMetricsIdentical(baseline, armed);
-  const double overhead_pct =
-      baseline_seconds > 0.0
-          ? (armed_seconds - baseline_seconds) / baseline_seconds * 100.0
-          : 0.0;
-  const bool within_budget = overhead_pct < kOverheadBudgetPct;
+  SimulationConfig configs[2] = {BaseConfig(tasks), BaseConfig(tasks)};
+  configs[1].faults.mtbf = 1e12;
+  configs[1].faults.mttr = 1e6;
+  MetricsReport report[2];
+  const auto seconds = RunRounds(rounds, 2, [&](std::size_t i) {
+    double s = 0.0;
+    report[i] = RunOnce(configs[i], s);
+    return s;
+  });
 
   // Context: an actively failing-and-repairing run at the same scale.
   SimulationConfig active_config = BaseConfig(tasks);
@@ -158,48 +72,37 @@ int main(int argc, char** argv) {
   double active_seconds = 0.0;
   const MetricsReport active = RunOnce(active_config, active_seconds);
 
-  std::cout << Format("fault bookkeeping @ {} nodes, {} tasks\n",
-                      baseline.total_nodes, tasks);
-  std::cout << Format("  disabled: {}s   armed-no-fire: {}s   overhead: {}%"
-                      " (budget {}%)\n",
-                      Fixed(baseline_seconds, 3), Fixed(armed_seconds, 3),
-                      Fixed(overhead_pct, 2), Fixed(kOverheadBudgetPct, 1));
-  std::cout << Format("  paper metrics identical: {}\n",
-                      identical ? "yes" : "NO");
-  std::cout << Format(
-      "  active faults: {}s, {} failures, {} repairs, {} kills, {} recovered,"
-      " {} lost\n",
-      Fixed(active_seconds, 3), active.failures_injected,
-      active.repairs_completed, active.tasks_killed, active.tasks_recovered,
-      active.tasks_lost_to_failure);
-
-  std::ofstream out(out_path);
-  out << "{\n";
-  out << "  \"bench\": \"faults\",\n";
-  out << Format("  \"quick\": {},\n", quick ? "true" : "false");
-  out << Format("  \"nodes\": {},\n", baseline.total_nodes);
-  out << Format("  \"tasks\": {},\n", tasks);
-  out << Format("  \"baseline_seconds\": {},\n", baseline_seconds);
-  out << Format("  \"armed_seconds\": {},\n", armed_seconds);
-  out << Format("  \"overhead_pct\": {},\n", overhead_pct);
-  out << Format("  \"overhead_budget_pct\": {},\n", kOverheadBudgetPct);
-  out << Format("  \"metrics_identical\": {},\n",
-                identical ? "true" : "false");
-  out << "  \"active\": {\n";
-  out << Format("    \"seconds\": {},\n", active_seconds);
-  out << Format("    \"failures_injected\": {},\n", active.failures_injected);
-  out << Format("    \"repairs_completed\": {},\n", active.repairs_completed);
-  out << Format("    \"tasks_killed\": {},\n", active.tasks_killed);
-  out << Format("    \"tasks_recovered\": {},\n", active.tasks_recovered);
-  out << Format("    \"tasks_lost_to_failure\": {},\n",
-                active.tasks_lost_to_failure);
-  out << Format("    \"total_downtime\": {}\n", active.total_downtime);
-  out << "  }\n";
-  out << "}\n";
-  if (!out.good()) {
-    std::cerr << "error: could not write " << out_path << "\n";
-    return 1;
+  const Params params = {{"nodes", report[0].total_nodes}, {"tasks", tasks}};
+  const double base = Min(seconds[0]);
+  const double armed = Min(seconds[1]);
+  bench.Add({"faults.disabled", "wall_seconds_min", base, "s", params});
+  bench.Add({"faults.armed", "wall_seconds_min", armed, "s", params});
+  // The gate keeps this bench's estimator: the overhead of the fastest
+  // armed run over the fastest disabled run. The per-round paired rows
+  // that follow are context.
+  bench.AddGated({"faults.armed", "overhead_pct", OverheadPct(base, armed),
+                  "%", params},
+                 "overhead_pct", Op::kBelow, kOverheadBudgetPct);
+  bench.AddOverhead("faults.armed", PairedOverheadPct(seconds[0], seconds[1]),
+                    params);
+  bench.Add({"faults.active", "wall_seconds", active_seconds, "s", params});
+  struct Counter {
+    const char* name;
+    std::uint64_t value;
+    const char* unit;
+  };
+  const Counter counters[] = {
+      {"failures_injected", active.failures_injected, "count"},
+      {"repairs_completed", active.repairs_completed, "count"},
+      {"tasks_killed", active.tasks_killed, "count"},
+      {"tasks_recovered", active.tasks_recovered, "count"},
+      {"tasks_lost_to_failure", active.tasks_lost_to_failure, "count"},
+      {"total_downtime", static_cast<std::uint64_t>(active.total_downtime),
+       "ticks"}};
+  for (const Counter& c : counters) {
+    bench.Add({"faults.active", c.name, static_cast<double>(c.value), c.unit,
+               params});
   }
-  std::cout << "\nwrote " << out_path << "\n";
-  return identical && within_budget ? 0 : 1;
+  bench.Check("metrics_identical", SameReport(report[0], report[1]));
+  return bench.Finish();
 }

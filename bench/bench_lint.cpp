@@ -1,5 +1,5 @@
-// Lint-engine throughput gate, emitted as machine-readable JSON so the
-// static-analysis cost stays visible across commits.
+// Lint-engine throughput gate; writes BENCH_lint.json (docs/formats.md
+// "Benchmark JSON").
 //
 // The engine runs on every CI push and on developer loops, so it must be
 // effectively free: the gate requires a full-repo scan (src, tools,
@@ -11,115 +11,52 @@
 // The finding-count snapshot (files scanned, rules run) rides along so a
 // rule-set change that silently stops scanning half the tree shows up as
 // a files/rules drop in the JSON diff, not as a mysteriously faster run.
-//
-// Output: BENCH_lint.json next to the executable (override with --out).
-// Exit status is non-zero on findings, a budget breach, or engine error.
-#include <ctime>
-#include <fstream>
+// Exit status: 1 on findings or a budget breach, 2 on an engine error.
+#include <exception>
 #include <iostream>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "lint/engine.hpp"
 
-namespace {
-
-using dreamsim::lint::BuiltinRules;
-using dreamsim::lint::Rule;
-using dreamsim::lint::RunLint;
-using dreamsim::lint::RunResult;
-
-constexpr double kBudgetSeconds = 2.0;
-
-double WallSeconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-std::string Fixed(double value, int precision) {
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os.precision(precision);
-  os << std::fixed << value;
-  return os.str();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  std::string root = DREAMSIM_REPO_ROOT;
-  // Default next to the executable, like the other BENCH_*.json emitters.
-  std::string self = argv[0];
-  const std::size_t slash = self.find_last_of('/');
-  const std::string bin_dir =
-      slash == std::string::npos ? "" : self.substr(0, slash + 1);
-  std::string out_path = bin_dir + "BENCH_lint.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--root" && i + 1 < argc) {
-      root = argv[++i];
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--quick") {
-      // Accepted for CI-harness uniformity; the full scan IS the quick
-      // mode (the budget gates it at 2 s).
-    } else {
-      std::cerr << "usage: bench_lint [--root <repo>] [--out <json>] "
-                   "[--quick]\n";
-      return 2;
-    }
-  }
+  using namespace dreamsim::bench;
+  Bench bench("lint", "Lint-engine throughput gate",
+              "accepted for harness uniformity; the full scan is the quick "
+              "mode");
+  bench.cli().AddString("root", DREAMSIM_REPO_ROOT, "repository root to scan");
+  if (const auto exit = bench.Start(argc, argv)) return *exit;
+  const std::string root = bench.cli().GetString("root");
+  constexpr double kBudgetSeconds = 2.0;
 
-  const std::vector<std::string> subdirs = {"src", "tools", "tests", "bench"};
-  RunResult result;
+  dreamsim::lint::RunResult result;
   const double begin = WallSeconds();
   try {
-    result = RunLint(root, subdirs);
+    result = dreamsim::lint::RunLint(root, {"src", "tools", "tests", "bench"});
   } catch (const std::exception& e) {
     std::cerr << "bench_lint: engine error: " << e.what() << "\n";
     return 2;
   }
   const double seconds = WallSeconds() - begin;
 
-  const std::size_t rules = BuiltinRules().size();
+  const Params params = {{"root", root}};
+  bench.AddGated({"lint.scan", "wall_seconds", seconds, "s", params},
+                 "scan_seconds", Op::kBelow, kBudgetSeconds);
+  const std::pair<const char*, std::size_t> counts[] = {
+      {"files", result.files},
+      {"rules", dreamsim::lint::BuiltinRules().size()},
+      {"findings", result.findings.size()},
+      {"errors", result.errors},
+      {"warnings", result.warnings}};
+  for (const auto& [name, count] : counts) {
+    bench.Add({"lint.scan", name, static_cast<double>(count), "count", params});
+  }
   const bool clean = result.errors == 0 && result.warnings == 0;
-  const bool in_budget = seconds < kBudgetSeconds;
-
-  std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"bench\": \"lint\",\n"
-      << "  \"root\": \"" << root << "\",\n"
-      << "  \"files\": " << result.files << ",\n"
-      << "  \"rules\": " << rules << ",\n"
-      << "  \"findings\": " << result.findings.size() << ",\n"
-      << "  \"errors\": " << result.errors << ",\n"
-      << "  \"warnings\": " << result.warnings << ",\n"
-      << "  \"wall_seconds\": " << Fixed(seconds, 4) << ",\n"
-      << "  \"budget_seconds\": " << Fixed(kBudgetSeconds, 1) << ",\n"
-      << "  \"gate\": {\n"
-      << "    \"clean\": " << (clean ? "true" : "false") << ",\n"
-      << "    \"in_budget\": " << (in_budget ? "true" : "false") << "\n"
-      << "  }\n"
-      << "}\n";
-  out.close();
-
-  std::cout << "bench_lint: " << result.files << " files, " << rules
-            << " rules, " << result.findings.size() << " finding(s) in "
-            << Fixed(seconds, 3) << "s (budget " << Fixed(kBudgetSeconds, 1)
-            << "s) -> " << out_path << "\n";
   if (!clean) {
     std::cerr << "bench_lint: tree is not clean; run dreamsim_lint for the "
                  "finding list\n";
-    return 1;
   }
-  if (!in_budget) {
-    std::cerr << "bench_lint: full-repo scan blew the " << Fixed(kBudgetSeconds, 1)
-              << "s budget\n";
-    return 1;
-  }
-  return 0;
+  bench.Check("clean", clean);
+  return bench.Finish();
 }

@@ -1,5 +1,5 @@
-// Scenario-pipeline throughput smoke, emitted as machine-readable JSON so
-// the perf trajectory can be tracked across commits.
+// Scenario-pipeline throughput smoke; writes BENCH_scenario.json
+// (docs/formats.md "Benchmark JSON").
 //
 // The scenario path runs before every simulation the daemon or sweep
 // launches, so its three stages are gated on throughput floors: parsing a
@@ -9,43 +9,20 @@
 // quadratic-blowup or per-line allocation storm, not machine variance —
 // and, like bench_metrics' hook gate, absolute throughput is only gated in
 // optimized builds.
-//
-// Output: BENCH_scenario.json next to the executable (override with
-// --out). --quick shrinks the iteration counts for CI smoke runs.
-#include <algorithm>
-#include <ctime>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "resource/config.hpp"
 #include "scenario/scenario.hpp"
-#include "util/cli.hpp"
-#include "util/fmt.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "workload/task_classes.hpp"
 
 namespace {
 
 using namespace dreamsim;
-
-double CpuSeconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-std::string Fixed(double value, int precision) {
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os << std::fixed << std::setprecision(precision) << value;
-  return os.str();
-}
+using namespace dreamsim::bench;
 
 /// A representative multi-class scenario: three device families, three
 /// arrival shapes, chains, and per-class seeds — every grammar feature the
@@ -98,40 +75,14 @@ task class: {
 }
 )";
 
-std::string ExecutableDir(const char* argv0) {
-  const std::string path(argv0 != nullptr ? argv0 : "");
-  const std::size_t slash = path.find_last_of("/\\");
-  return slash == std::string::npos ? std::string{} : path.substr(0, slash + 1);
-}
-
-/// Best (highest) ops/sec across rounds: noise only ever slows a round
-/// down, so the fastest round is the closest estimate of the true rate.
-double BestRate(const std::vector<double>& rates) {
-  return *std::max_element(rates.begin(), rates.end());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  CliParser cli("Scenario-pipeline throughput smoke; writes "
-                "BENCH_scenario.json");
-  cli.AddBool("quick", false, "CI smoke workload (fewer iterations)");
-  cli.AddString("out", "", "output JSON path (default: next to the binary)");
-  if (!cli.Parse(argc, argv)) {
-    std::cerr << cli.error() << "\n";
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.HelpText();
-    return 0;
-  }
-  const bool quick = cli.GetBool("quick");
-  Log::SetLevel(LogLevel::kError);
-  std::string out_path = cli.GetString("out");
-  if (out_path.empty()) {
-    out_path = ExecutableDir(argv[0]) + "BENCH_scenario.json";
-  }
+  Bench bench("scenario", "Scenario-pipeline throughput smoke",
+              "CI smoke workload (fewer iterations)");
+  if (const auto exit = bench.Start(argc, argv)) return *exit;
 
+  const bool quick = bench.quick();
   const int parse_iters = quick ? 200 : 2000;
   const int canon_iters = quick ? 500 : 5000;
   const int gen_iters = quick ? 20 : 100;
@@ -141,11 +92,6 @@ int main(int argc, char** argv) {
   constexpr double kParseFloor = 500.0;
   constexpr double kCanonFloor = 1000.0;
   constexpr double kGenTaskFloor = 50'000.0;  // generated tasks per second
-#ifdef NDEBUG
-  constexpr bool kGateRates = true;
-#else
-  constexpr bool kGateRates = false;
-#endif
 
   const scenario::ParseResult parsed = scenario::ParseScenario(kScenarioText);
   if (!parsed.has_value()) {
@@ -167,78 +113,61 @@ int main(int argc, char** argv) {
       Generate(spec.config.configs, ptype::Catalogue::Default(),
                catalogue_rng);
 
-  std::vector<double> parse_rates;
-  std::vector<double> canon_rates;
-  std::vector<double> gen_rates;
+  // One round runs the three stages in order; each stage's rate is its
+  // best round (noise only ever slows a round down).
+  std::size_t sink = 0;
   std::size_t tasks_per_gen = 0;
-  for (int round = 0; round < rounds; ++round) {
-    double start = CpuSeconds();
-    std::size_t sink = 0;
-    for (int i = 0; i < parse_iters; ++i) {
-      sink += scenario::ParseScenario(kScenarioText).value().name.size();
+  const auto seconds = RunRounds(rounds, 3, [&](std::size_t stage) {
+    const double start = CpuSeconds();
+    if (stage == 0) {
+      for (int i = 0; i < parse_iters; ++i) {
+        sink += scenario::ParseScenario(kScenarioText).value().name.size();
+      }
+    } else if (stage == 1) {
+      for (int i = 0; i < canon_iters; ++i) {
+        sink += scenario::ScenarioHash(spec).size();
+        sink += scenario::CanonicalScenario(spec).size();
+      }
+    } else {
+      std::size_t generated = 0;
+      for (int i = 0; i < gen_iters; ++i) {
+        const workload::MultiClassWorkload wl =
+            workload::GenerateMultiClassWorkload(
+                spec.config.task_classes, catalogue,
+                spec.config.seed + static_cast<std::uint64_t>(i));
+        generated += wl.TotalTasks();
+      }
+      tasks_per_gen = generated / static_cast<std::size_t>(gen_iters);
     }
-    double seconds = CpuSeconds() - start;
-    parse_rates.push_back(static_cast<double>(parse_iters) / seconds);
+    return CpuSeconds() - start;
+  });
+  if (sink == 0) std::cerr << "";  // keep the stages observable
 
-    start = CpuSeconds();
-    for (int i = 0; i < canon_iters; ++i) {
-      sink += scenario::ScenarioHash(spec).size();
-      sink += scenario::CanonicalScenario(spec).size();
-    }
-    seconds = CpuSeconds() - start;
-    canon_rates.push_back(static_cast<double>(canon_iters) / seconds);
-
-    start = CpuSeconds();
-    std::size_t generated = 0;
-    for (int i = 0; i < gen_iters; ++i) {
-      const workload::MultiClassWorkload wl =
-          workload::GenerateMultiClassWorkload(
-              spec.config.task_classes, catalogue,
-              spec.config.seed + static_cast<std::uint64_t>(i));
-      generated += wl.TotalTasks();
-    }
-    seconds = CpuSeconds() - start;
-    gen_rates.push_back(static_cast<double>(generated) / seconds);
-    tasks_per_gen = generated / static_cast<std::size_t>(gen_iters);
-    if (sink == 0) std::cerr << "";  // keep the stages observable
+  struct Stage {
+    const char* layer;
+    const char* unit;
+    double work;  // operations (or generated tasks) per round
+    const char* gate;
+    double floor;
+  };
+  const Stage stages[] = {
+      {"scenario.parse", "ops/s", static_cast<double>(parse_iters),
+       "parse_per_sec", kParseFloor},
+      {"scenario.canonicalize", "ops/s", static_cast<double>(canon_iters),
+       "canonicalize_per_sec", kCanonFloor},
+      {"scenario.generate", "tasks/s",
+       static_cast<double>(tasks_per_gen * static_cast<std::size_t>(gen_iters)),
+       "generation_tasks_per_sec", kGenTaskFloor}};
+  const Params params = {{"task_classes", classes},
+                         {"tasks_per_generation", tasks_per_gen}};
+  for (std::size_t i = 0; i < std::size(stages); ++i) {
+    const Row rate{stages[i].layer, "rate_best",
+                   stages[i].work / Min(seconds[i]), stages[i].unit, params};
+#ifdef NDEBUG
+    bench.AddGated(rate, stages[i].gate, Op::kAtLeast, stages[i].floor);
+#else
+    bench.Add(rate);
+#endif
   }
-
-  const double parse_rate = BestRate(parse_rates);
-  const double canon_rate = BestRate(canon_rates);
-  const double gen_rate = BestRate(gen_rates);
-  const bool within_budget =
-      !kGateRates || (parse_rate >= kParseFloor && canon_rate >= kCanonFloor &&
-                      gen_rate >= kGenTaskFloor);
-
-  std::cout << Format("scenario pipeline throughput ({} classes, {} tasks "
-                      "per generation)\n",
-                      classes, tasks_per_gen);
-  std::cout << Format("  parse: {} /s (floor {}{})\n", Fixed(parse_rate, 0),
-                      Fixed(kParseFloor, 0),
-                      kGateRates ? "" : "; unoptimized build, ungated");
-  std::cout << Format("  canonicalize + hash: {} /s (floor {})\n",
-                      Fixed(canon_rate, 0), Fixed(kCanonFloor, 0));
-  std::cout << Format("  multi-class generation: {} tasks/s (floor {})\n",
-                      Fixed(gen_rate, 0), Fixed(kGenTaskFloor, 0));
-
-  std::ofstream out(out_path);
-  out << "{\n";
-  out << "  \"bench\": \"scenario\",\n";
-  out << Format("  \"quick\": {},\n", quick ? "true" : "false");
-  out << Format("  \"task_classes\": {},\n", classes);
-  out << Format("  \"tasks_per_generation\": {},\n", tasks_per_gen);
-  out << Format("  \"parse_per_sec\": {},\n", parse_rate);
-  out << Format("  \"parse_floor_per_sec\": {},\n", kParseFloor);
-  out << Format("  \"canonicalize_per_sec\": {},\n", canon_rate);
-  out << Format("  \"canonicalize_floor_per_sec\": {},\n", kCanonFloor);
-  out << Format("  \"generation_tasks_per_sec\": {},\n", gen_rate);
-  out << Format("  \"generation_floor_tasks_per_sec\": {},\n", kGenTaskFloor);
-  out << Format("  \"gated\": {}\n", kGateRates ? "true" : "false");
-  out << "}\n";
-  if (!out.good()) {
-    std::cerr << "error: could not write " << out_path << "\n";
-    return 1;
-  }
-  std::cout << "\nwrote " << out_path << "\n";
-  return within_budget ? 0 : 1;
+  return bench.Finish();
 }

@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
     config.ship_bitstreams = ship;
     config.bitstream_cache_capacity = capacity;
     config.network.bytes_per_tick = cli.GetInt("bandwidth");
-    config.enable_monitoring = false;
     core::Simulator simulator(std::move(config));
     const core::MetricsReport r = simulator.Run();
     const std::uint64_t lookups = r.bitstream_hits + r.bitstream_misses;

@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
     config.nodes.placement = placement;
     config.tasks.total_tasks = static_cast<int>(cli.GetInt("tasks"));
     config.seed = static_cast<std::uint64_t>(cli.GetInt("seed"));
-    config.enable_monitoring = false;
     core::Simulator simulator(std::move(config));
     const core::MetricsReport report = simulator.Run();
     Report(label, report, simulator.store().Fragmentation().mean);

@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
     config.mode = sched::ReconfigMode::kPartial;
     config.policy = choice;
     config.label = std::string(core::ToString(choice));
-    config.enable_monitoring = false;
     core::Simulator simulator(std::move(config));
     reports.push_back(simulator.Run());
   }

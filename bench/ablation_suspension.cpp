@@ -19,7 +19,6 @@ dreamsim::core::MetricsReport RunWith(
   config.tasks.total_tasks = static_cast<int>(cli.GetInt("tasks"));
   config.seed = static_cast<std::uint64_t>(cli.GetInt("seed"));
   config.mode = dreamsim::sched::ReconfigMode::kPartial;
-  config.enable_monitoring = false;
   tweak(config, value);
   dreamsim::core::Simulator simulator(std::move(config));
   return simulator.Run();

@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
       config.seed = static_cast<std::uint64_t>(cli.GetInt("seed"));
       config.mode = mode;
       config.waste_accounting = accounting;
-      config.enable_monitoring = false;
       core::Simulator simulator(std::move(config));
       waste[i++] = simulator.Run().avg_wasted_area_per_task;
     }

@@ -30,7 +30,6 @@ using dreamsim::core::Simulator;
 SimulationConfig BaseConfig(int tasks) {
   SimulationConfig config;  // Table II: 200 nodes, 50 configs
   config.tasks.total_tasks = tasks;
-  config.enable_monitoring = true;
   config.seed = 42;
   return config;
 }

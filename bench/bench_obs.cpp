@@ -30,12 +30,10 @@ using dreamsim::core::Simulator;
 SimulationConfig BaseConfig(int tasks) {
   SimulationConfig config;  // Table II: 200 nodes, 50 configs
   config.tasks.total_tasks = tasks;
-  // Keep the tool-default monitoring on: it is what every CLI run pays, and
-  // the state observer shares the monitor's per-event SystemSnapshot, so
+  // The state observer shares the monitor's per-event SystemSnapshot, so
   // this measures the observability layer's own cost (serialization +
   // sampling) rather than re-billing it for the snapshot the monitor
   // already takes.
-  config.enable_monitoring = true;
   config.seed = 42;
   return config;
 }

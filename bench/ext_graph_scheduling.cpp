@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
 
   core::SimulationConfig base;
   base.seed = static_cast<std::uint64_t>(cli.GetInt("seed"));
-  base.enable_monitoring = false;
 
   Rng catalogue_rng(DeriveSeed(base.seed, 2));
   const auto catalogue = resource::ConfigCatalogue::Generate(

@@ -13,7 +13,6 @@ core::SimulationConfig BenchConfig(std::int64_t tasks, std::int64_t nodes) {
   config.nodes.count = static_cast<int>(nodes);
   config.tasks.total_tasks = static_cast<int>(tasks);
   config.seed = 42;
-  config.enable_monitoring = false;
   return config;
 }
 
@@ -71,19 +70,6 @@ BENCHMARK(BM_SimulatorSetup)
     ->Arg(1000)
     ->Arg(10000)
     ->Unit(benchmark::kMillisecond);
-
-void BM_MonitoringOverhead(benchmark::State& state) {
-  const bool monitoring = state.range(0) != 0;
-  for (auto _ : state) {
-    core::SimulationConfig config = BenchConfig(2000, 200);
-    config.enable_monitoring = monitoring;
-    core::Simulator sim(std::move(config));
-    benchmark::DoNotOptimize(sim.Run().completed_tasks);
-  }
-  state.SetLabel(monitoring ? "monitoring-on" : "monitoring-off");
-  state.SetItemsProcessed(state.iterations() * 2000);
-}
-BENCHMARK(BM_MonitoringOverhead)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

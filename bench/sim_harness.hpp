@@ -92,7 +92,6 @@ inline void CompareScanIndexed(Bench& bench, const std::string& layer,
     core::SweepParams params;
     params.base.nodes.count = scenario.nodes;
     params.base.seed = 42;
-    params.base.enable_monitoring = false;
     if (scenario.max_interval > 0) {
       params.base.tasks.max_interval = scenario.max_interval;
     }

@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
     config.tasks.total_tasks = static_cast<int>(cli.GetInt("tasks"));
     config.seed = static_cast<std::uint64_t>(cli.GetInt("seed"));
     config.policy = choice;
-    config.enable_monitoring = false;
 
     core::Simulator simulator(std::move(config));
     const core::MetricsReport report = simulator.Run();

@@ -53,6 +53,45 @@ void StructureCorruptor::ExposeFailedNode(resource::ResourceStore& store,
   store.nodes_.at(node.value()).failed_ = true;
 }
 
+void StructureCorruptor::OvercommitNode(resource::ResourceStore& store,
+                                        NodeId node) {
+  resource::Node& n = store.nodes_.at(node.value());
+  if (n.blank() || n.failed() || n.contiguous()) {
+    throw std::logic_error("OvercommitNode: need a configured scalar node");
+  }
+  const Area cut = n.available_area_ + 1;
+  n.total_area_ -= cut;
+  n.available_area_ -= cut;
+  // Keep every derived structure in step, so only the Eq. 4 sign check
+  // can see the node.
+  resource::StoreTotals& totals = store.totals_;
+  totals.total_fabric_area -= cut;
+  totals.wasted_area -= cut;
+  if (!n.busy()) totals.idle_wasted_area -= cut;
+  if (store.index_ != nullptr) {
+    store.index_->Refresh(n, store.busy_area_[node.value()]);
+  }
+}
+
+void StructureCorruptor::LeakFabricHole(resource::ResourceStore& store,
+                                        NodeId node) {
+  resource::Node& n = store.nodes_.at(node.value());
+  if (!n.layout_ || n.layout_->free_.empty()) {
+    throw std::logic_error("LeakFabricHole: need a contiguous free hole");
+  }
+  --n.layout_->free_.front().size;
+}
+
+void StructureCorruptor::ShrinkSlotExtent(resource::ResourceStore& store,
+                                          NodeId node,
+                                          resource::SlotIndex slot) {
+  resource::Node& n = store.nodes_.at(node.value());
+  if (!n.layout_ || !n.SlotLive(slot)) {
+    throw std::logic_error("ShrinkSlotExtent: need a live contiguous slot");
+  }
+  --n.slot_extents_[slot].size;
+}
+
 void StructureCorruptor::SkewStoreTotals(resource::ResourceStore& store) {
   ++store.totals_.wasted_area;
 }

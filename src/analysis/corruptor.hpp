@@ -43,6 +43,22 @@ class StructureCorruptor {
   /// store counter).
   static void ExposeFailedNode(resource::ResourceStore& store, NodeId node);
 
+  /// Shrinks a configured, non-failed `node` so that its live ReqArea
+  /// exceeds its TotalArea by one unit: TotalArea and AvailableArea drop
+  /// together (Eq. 4 still balances, AvailableArea becomes -1) and the
+  /// store's totals and index follow the change. Expected slug: eq4.area.
+  static void OvercommitNode(resource::ResourceStore& store, NodeId node);
+
+  /// Trims the last unit off the first free hole of contiguous `node`'s
+  /// fabric: the unit is then neither free nor owned by a slot. Expected
+  /// slug: fabric.layout.
+  static void LeakFabricHole(resource::ResourceStore& store, NodeId node);
+
+  /// Shortens the extent of live `slot` on contiguous `node` by one unit,
+  /// leaving the free list alone. Expected slug: fabric.layout.
+  static void ShrinkSlotExtent(resource::ResourceStore& store, NodeId node,
+                               resource::SlotIndex slot);
+
   /// Adds one unit of area to the store's maintained Eq. 6 wasted-area
   /// total, leaving every node untouched. Expected slug: store.totals.
   static void SkewStoreTotals(resource::ResourceStore& store);

@@ -3,8 +3,8 @@
 // Each pass walks the primary state (node slots, the suspension FIFO, the
 // live-action table), derives what the audited structure must contain, and
 // reports divergences. The membership rules are restated here from the
-// documented invariants on purpose — reusing the structures' own Validate()
-// helpers would let one bug hide in both places (DESIGN.md §12).
+// documented invariants on purpose — a structure's own helpers could let
+// one bug hide in both places (DESIGN.md §12).
 //
 // The auditor reads private state of the audited structures via friendship.
 // lint: allow-file(store-internals)
@@ -39,6 +39,7 @@ using resource::AreaTreap;
 using resource::EntryList;
 using resource::EntryRef;
 using resource::EntryRefHash;
+using resource::Extent;
 using resource::MaxSegTree;
 using resource::Node;
 using resource::PackEntryRef;
@@ -232,6 +233,13 @@ void StructureAuditor::AuditAreaAccounting(const ResourceStore& store,
                     node.available_area(), node.total_area(),
                     truth.live_area));
     }
+    if (node.available_area() < 0) {
+      Report(report, "eq4.area", path,
+             Format("AvailableArea {} < 0: live ReqArea {} overcommits "
+                    "TotalArea {}",
+                    node.available_area(), truth.live_area,
+                    node.total_area()));
+    }
     if (node.config_count() != truth.live ||
         node.running_tasks() != truth.running) {
       Report(report, "fig3.slot", path,
@@ -243,6 +251,86 @@ void StructureAuditor::AuditAreaAccounting(const ResourceStore& store,
       Report(report, "eq4.busy-area", path,
              Format("mirror {} != busy ReqArea sum {}",
                     store.busy_area_[node.id().value()], truth.busy_area));
+    }
+  }
+}
+
+// --- Contiguous fabric layouts ----------------------------------------------
+
+void StructureAuditor::AuditFabricLayouts(const ResourceStore& store,
+                                          AuditReport& report) {
+  for (const Node& node : store.nodes_) {
+    if (!node.contiguous()) continue;
+    const resource::FabricLayout& layout = node.layout();
+    const std::string path = Format("node {} fabric", node.id().value());
+    // Ground truth: the live slots' extents, each in bounds and exactly
+    // its configuration's ReqArea wide.
+    std::vector<std::pair<Extent, resource::SlotIndex>> used;
+    node.ForEachSlot([&](resource::SlotIndex slot,
+                         const resource::ConfigTaskPair& pair) {
+      const Extent& extent = node.SlotExtent(slot);
+      if (extent.offset < 0 || extent.size <= 0 ||
+          extent.end() > layout.total_) {
+        Report(report, "fabric.layout", path,
+               Format("slot {} extent [{}, {}) outside [0, {})", slot,
+                      extent.offset, extent.end(), layout.total_));
+      }
+      if (store.configs().Contains(pair.config) &&
+          extent.size != store.configs().Get(pair.config).required_area) {
+        Report(report, "fabric.layout", path,
+               Format("slot {} extent size {} != ReqArea {} of config {}",
+                      slot, extent.size,
+                      store.configs().Get(pair.config).required_area,
+                      pair.config.value()));
+      }
+      used.emplace_back(extent, slot);
+    });
+    std::sort(used.begin(), used.end(), [](const auto& a, const auto& b) {
+      return a.first.offset < b.first.offset;
+    });
+    // The free holes must be the sorted, coalesced complement of the live
+    // extents; the extents themselves must be pairwise disjoint.
+    std::vector<Extent> want;
+    Area cursor = 0;
+    for (std::size_t i = 0; i < used.size(); ++i) {
+      const Extent& extent = used[i].first;
+      if (i > 0 && extent.offset < cursor) {
+        Report(report, "fabric.layout", path,
+               Format("slot {} extent at {} overlaps slot {} (ends at {})",
+                      used[i].second, extent.offset, used[i - 1].second,
+                      cursor));
+      }
+      if (extent.offset > cursor) {
+        want.push_back(Extent{cursor, extent.offset - cursor});
+      }
+      cursor = std::max(cursor, extent.end());
+    }
+    if (cursor < layout.total_) {
+      want.push_back(Extent{cursor, layout.total_ - cursor});
+    }
+    const auto describe = [](const std::vector<Extent>& holes,
+                             std::size_t i) {
+      return i < holes.size() ? Format("[{}, {})", holes[i].offset,
+                                       holes[i].end())
+                              : std::string("none");
+    };
+    for (std::size_t i = 0; i < std::max(layout.free_.size(), want.size());
+         ++i) {
+      if (i < layout.free_.size() && i < want.size() &&
+          layout.free_[i] == want[i]) {
+        continue;
+      }
+      Report(report, "fabric.layout", Format("{} hole {}", path, i),
+             Format("layout has {}, live extents leave {}",
+                    describe(layout.free_, i), describe(want, i)));
+      break;
+    }
+    Area free_area = 0;
+    for (const Extent& hole : layout.free_) free_area += hole.size;
+    if (free_area != node.available_area()) {
+      Report(report, "fabric.layout", path,
+             Format("layout free area {} != AvailableArea {}", free_area,
+                    node.available_area()));
     }
   }
 }
@@ -858,6 +946,7 @@ AuditReport StructureAuditor::AuditStore(const ResourceStore& store) {
   AuditReport report;
   AuditEntryLists(store, report);
   AuditAreaAccounting(store, report);
+  AuditFabricLayouts(store, report);
   AuditBlankList(store, report);
   AuditFaultVisibility(store, report);
   AuditTotals(store, report);

@@ -12,12 +12,11 @@
 // live structures, reporting each divergence with a human-readable path
 // (node id, config, family, list position).
 //
-// It deliberately does NOT reuse ResourceStore::ValidateConsistency(),
-// StoreIndex::Validate() or SusQueueIndex::Validate(): those are
-// self-checks maintained next to the code they check, and a bug pattern
-// that fools the structure can fool its sibling validator. The auditor is
-// an independent reimplementation of the membership rules from the
-// documented invariants.
+// The auditor is the only checker of these structures: tests, --audit and
+// the perfbench output check all run it. It restates the membership rules
+// from the documented invariants instead of asking a structure to check
+// itself, because a bug pattern that fools a structure can fool a
+// validator maintained next to it.
 //
 // Read-only by construction: every entry point takes const references and
 // never charges the WorkloadMeter (an audit is tooling, not scheduler
@@ -65,8 +64,8 @@ struct AuditReport {
 class StructureAuditor {
  public:
   /// Audits the Fig. 3 lists, the blank list, the Eq. 4 area accounting,
-  /// the fault-visibility rules, the maintained system totals, and (when
-  /// enabled) the StoreIndex mirror.
+  /// the contiguous fabric layouts, the fault-visibility rules, the
+  /// maintained system totals, and (when enabled) the StoreIndex mirror.
   [[nodiscard]] static AuditReport AuditStore(
       const resource::ResourceStore& store);
 
@@ -102,6 +101,8 @@ class StructureAuditor {
                               AuditReport& report);
   static void AuditAreaAccounting(const resource::ResourceStore& store,
                                   AuditReport& report);
+  static void AuditFabricLayouts(const resource::ResourceStore& store,
+                                 AuditReport& report);
   static void AuditBlankList(const resource::ResourceStore& store,
                              AuditReport& report);
   static void AuditFaultVisibility(const resource::ResourceStore& store,

@@ -131,9 +131,6 @@ struct SimulationConfig {
 
   // --- Metrics ---
   WasteAccounting waste_accounting = WasteAccounting::kOnSchedule;
-  /// Event-driven utilization monitoring (an O(1) read of the store's
-  /// maintained totals per observed event).
-  bool enable_monitoring = true;
 
   // --- Reproducibility ---
   std::uint64_t seed = 42;

@@ -316,10 +316,8 @@ void Simulator::HandleArrival(TaskId id) {
 }
 
 void Simulator::ObserveState() {
-  const bool monitoring = config_.enable_monitoring;
-  if (!monitoring && !state_observer_) return;
   const rms::SystemSnapshot snapshot = info_.Snapshot(kernel_.now());
-  if (monitoring) monitor_.ObserveSnapshot(snapshot, suspension_.size());
+  monitor_.ObserveSnapshot(snapshot, suspension_.size());
   if (state_observer_) {
     StateSample sample;
     sample.tick = snapshot.at;

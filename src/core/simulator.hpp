@@ -216,8 +216,8 @@ class Simulator {
       event_logger_(SimEvent{kind, kernel_.now(), task, node, config});
     }
   }
-  /// Feeds the monitoring module and/or the state observer (one shared
-  /// snapshot); no-op when both are off.
+  /// Feeds the monitoring module and, when set, the state observer (one
+  /// shared snapshot).
   void ObserveState();
   /// True when the explain observer wants records for `id`.
   [[nodiscard]] bool ShouldExplain(TaskId id) const {

@@ -134,13 +134,4 @@ bool EntryList::Contains(EntryRef entry, WorkloadMeter& meter,
   return false;
 }
 
-bool EntryList::PositionsConsistent() const {
-  if (table_used_ != cells_.size()) return false;
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    const std::size_t slot = FindSlot(PackEntryRef(cells_[i]));
-    if (slot == table_.size() || table_[slot].pos != i) return false;
-  }
-  return true;
-}
-
 }  // namespace dreamsim::resource

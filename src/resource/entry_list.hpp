@@ -135,10 +135,6 @@ class EntryList {
   [[nodiscard]] bool empty() const { return cells_.empty(); }
   [[nodiscard]] const std::vector<EntryRef>& cells() const { return cells_; }
 
-  /// True when the position map is the exact inverse of the cell vector
-  /// (consistency checks).
-  [[nodiscard]] bool PositionsConsistent() const;
-
  private:
   // The auditor reconstructs ground truth from the raw cells; the
   // corruptor breaks them on purpose in tests. Neither is part of the

@@ -20,6 +20,11 @@
 
 #include "util/types.hpp"
 
+namespace dreamsim::analysis {
+class StructureAuditor;    // read-only ground-truth diffing
+class StructureCorruptor;  // test-only seeded-corruption injector
+}  // namespace dreamsim::analysis
+
 namespace dreamsim::resource {
 
 /// A contiguous region of fabric: [offset, offset + size).
@@ -78,10 +83,16 @@ class FabricLayout {
   void Reset();
 
   /// Structural validation (holes sorted, disjoint, within bounds);
-  /// empty result means consistent.
+  /// empty result means consistent. For a bare layout only: the
+  /// StructureAuditor checks a node's layout against its slots.
   [[nodiscard]] std::vector<std::string> Validate() const;
 
  private:
+  // Correctness tooling (src/analysis): read-only ground-truth diffing and
+  // test-only seeded corruption. See entry_list.hpp.
+  friend class ::dreamsim::analysis::StructureAuditor;
+  friend class ::dreamsim::analysis::StructureCorruptor;
+
   Area total_;
   std::vector<Extent> free_;  // sorted by offset, pairwise disjoint
 };

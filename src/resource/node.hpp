@@ -184,9 +184,10 @@ class Node {
   }
 
  private:
-  // Test-only seeded corruption (src/analysis): flips failed_ behind the
-  // store's back so the auditor's fault-visibility checks can be proven
-  // non-vacuous. See resource/entry_list.hpp.
+  // Test-only seeded corruption (src/analysis): flips failed_, resizes the
+  // fabric or its slot extents behind the store's back so the auditor's
+  // fault-visibility, Eq. 4 and fabric checks can be proven non-vacuous.
+  // See resource/entry_list.hpp.
   friend class ::dreamsim::analysis::StructureCorruptor;
 
   NodeId id_;

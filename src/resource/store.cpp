@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "resource/store_index.hpp"
-#include "util/fmt.hpp"
 
 namespace dreamsim::resource {
 namespace {
@@ -638,167 +637,6 @@ std::size_t ResourceStore::UsedNodeCount() const {
     if (n.reconfig_count() > 0) ++used;
   }
   return used;
-}
-
-std::vector<std::string> ResourceStore::ValidateConsistency() const {
-  std::vector<std::string> violations;
-  WorkloadMeter scratch;  // membership checks below must not skew metrics
-
-  // Per-node area accounting (Eq. 4) and list membership per slot.
-  for (const Node& n : nodes_) {
-    Area occupied = 0;
-    n.ForEachSlot([&](SlotIndex slot, const ConfigTaskPair& pair) {
-      occupied += configs_.Get(pair.config).required_area;
-      const EntryRef entry{n.id(), slot};
-      const bool in_idle =
-          idle_list(pair.config).Contains(entry, scratch,
-                                          StepKind::kHousekeeping);
-      const bool in_busy =
-          busy_list(pair.config).Contains(entry, scratch,
-                                          StepKind::kHousekeeping);
-      if (pair.idle() && (!in_idle || in_busy)) {
-        violations.push_back(Format(
-            "node {} slot {}: idle entry not exactly in idle list",
-            n.id().value(), slot));
-      }
-      if (!pair.idle() && (in_idle || !in_busy)) {
-        violations.push_back(Format(
-            "node {} slot {}: busy entry not exactly in busy list",
-            n.id().value(), slot));
-      }
-    });
-    if (n.available_area() != n.total_area() - occupied) {
-      violations.push_back(Format(
-          "node {}: Eq.4 violated (total={}, occupied={}, available={})",
-          n.id().value(), n.total_area(), occupied, n.available_area()));
-    }
-    if (n.contiguous()) {
-      // The fabric layout must agree with the scalar accounting, its free
-      // list must be structurally sound, and each live slot's extent must
-      // match its configuration's area.
-      for (const std::string& v : n.layout().Validate()) {
-        violations.push_back(
-            Format("node {} layout: {}", n.id().value(), v));
-      }
-      if (n.layout().free_area() != n.available_area()) {
-        violations.push_back(Format(
-            "node {}: layout free area {} != available area {}",
-            n.id().value(), n.layout().free_area(), n.available_area()));
-      }
-      n.ForEachSlot([&](SlotIndex slot, const ConfigTaskPair& pair) {
-        if (n.SlotExtent(slot).size !=
-            configs_.Get(pair.config).required_area) {
-          violations.push_back(Format(
-              "node {} slot {}: extent size != configuration area",
-              n.id().value(), slot));
-        }
-      });
-    }
-    if (n.available_area() < 0) {
-      violations.push_back(
-          Format("node {}: negative available area", n.id().value()));
-    }
-    const bool in_blank = [&] {
-      for (const NodeId id : blank_) {
-        if (id == n.id()) return true;
-      }
-      return false;
-    }();
-    // Failed nodes are blank but deliberately absent from the blank list.
-    if ((n.blank() && !n.failed()) != in_blank) {
-      violations.push_back(Format(
-          "node {}: blank()={} failed()={} but blank-list membership={}",
-          n.id().value(), n.blank(), n.failed(), in_blank));
-    }
-    if (n.failed() && !n.blank()) {
-      violations.push_back(Format(
-          "node {}: failed but still holds configurations", n.id().value()));
-    }
-  }
-
-  // Every list cell must reference a live slot in the matching state.
-  for (std::size_t cid = 0; cid < idle_lists_.size(); ++cid) {
-    // lint: allow(entry-cells-iteration) — ground-truth sweep
-    for (const EntryRef& e : idle_lists_[cid].cells()) {
-      const Node& n = node(e.node);
-      if (!n.SlotLive(e.slot) || !n.Slot(e.slot).idle() ||
-          n.Slot(e.slot).config.value() != cid) {
-        violations.push_back(Format(
-            "idle list {}: stale cell (node {}, slot {})", cid,
-            e.node.value(), e.slot));
-      }
-    }
-    // lint: allow(entry-cells-iteration) — ground-truth sweep
-    for (const EntryRef& e : busy_lists_[cid].cells()) {
-      const Node& n = node(e.node);
-      if (!n.SlotLive(e.slot) || n.Slot(e.slot).idle() ||
-          n.Slot(e.slot).config.value() != cid) {
-        violations.push_back(Format(
-            "busy list {}: stale cell (node {}, slot {})", cid,
-            e.node.value(), e.slot));
-      }
-    }
-    if (!idle_lists_[cid].PositionsConsistent()) {
-      violations.push_back(Format("idle list {}: position map stale", cid));
-    }
-    if (!busy_lists_[cid].PositionsConsistent()) {
-      violations.push_back(Format("busy list {}: position map stale", cid));
-    }
-  }
-
-  // The incremental busy-area tally must match a fresh recount.
-  for (const Node& n : nodes_) {
-    Area busy = 0;
-    n.ForEachSlot([&](SlotIndex, const ConfigTaskPair& pair) {
-      if (!pair.idle()) busy += configs_.Get(pair.config).required_area;
-    });
-    if (busy != busy_area_[n.id().value()]) {
-      violations.push_back(Format(
-          "node {}: busy-area tally {} != recount {}", n.id().value(),
-          busy_area_[n.id().value()], busy));
-    }
-  }
-
-  // Blank position map: exact inverse of the blank list.
-  for (std::size_t i = 0; i < blank_.size(); ++i) {
-    if (blank_pos_[blank_[i].value()] != i) {
-      violations.push_back(Format(
-          "blank list slot {}: position map disagrees (node {})", i,
-          blank_[i].value()));
-    }
-  }
-  for (const Node& n : nodes_) {
-    if ((!n.blank() || n.failed()) && blank_pos_[n.id().value()] != kNotBlank) {
-      violations.push_back(Format(
-          "node {}: not blank-listed but has a blank-list position",
-          n.id().value()));
-    }
-  }
-
-  // The failed-node tally must match a fresh recount.
-  std::size_t failed = 0;
-  for (const Node& n : nodes_) {
-    if (n.failed()) ++failed;
-  }
-  if (failed != failed_count_) {
-    violations.push_back(Format("failed-node tally {} != recount {}",
-                                failed_count_, failed));
-  }
-
-  // The maintained system totals must match a fresh sum over the nodes.
-  StoreTotals recount;
-  for (const Node& n : nodes_) Shift(recount, StoreTotals{}, Contribution(n));
-  if (recount != totals_) {
-    violations.push_back("system totals differ from a recount over the nodes");
-  }
-
-  // Cross-check every indexed structure against ground truth.
-  if (index_) {
-    for (std::string& v : index_->Validate(nodes_, busy_area_)) {
-      violations.push_back(std::move(v));
-    }
-  }
-  return violations;
 }
 
 }  // namespace dreamsim::resource

@@ -4,8 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "util/fmt.hpp"
-
 namespace dreamsim::resource {
 
 namespace {
@@ -273,88 +271,6 @@ std::optional<std::size_t> SusQueueIndex::BestPriorityEligible(
   }
   if (!best) return std::nullopt;
   return PositionOfSeq(best->second);
-}
-
-std::vector<std::string> SusQueueIndex::Validate(
-    const std::vector<TaskId>& queue,
-    const std::function<SusEntryAttrs(TaskId)>& attrs_of) const {
-  std::vector<std::string> violations;
-  const auto complain = [&violations](std::string msg) {
-    violations.push_back(std::move(msg));
-  };
-  if (queue.size() != slots_.size()) {
-    complain(Format("size mismatch: queue {} vs index {}", queue.size(),
-                     slots_.size()));
-  }
-  std::uint64_t prev_seq = 0;
-  bool first = true;
-  for (std::size_t pos = 0; pos < queue.size(); ++pos) {
-    const TaskId task = queue[pos];
-    const auto it = slots_.find(task.value());
-    if (it == slots_.end()) {
-      complain(Format("task {} queued but not indexed", task.value()));
-      continue;
-    }
-    const Slot& slot = it->second;
-    if (!first && slot.seq <= prev_seq) {
-      complain(Format("task {} breaks seq monotonicity", task.value()));
-    }
-    first = false;
-    prev_seq = slot.seq;
-    const SusEntryAttrs truth = attrs_of(task);
-    if (!(slot.attrs == truth)) {
-      complain(Format("task {} has stale attrs", task.value()));
-    }
-    if (PositionOfSeq(slot.seq) != pos) {
-      complain(Format("task {} position {} != rank {}", task.value(), pos,
-                       PositionOfSeq(slot.seq)));
-    }
-    const auto bucket_it = buckets_.find(slot.attrs.resolved_config.value());
-    if (bucket_it == buckets_.end() ||
-        !bucket_it->second.by_seq.contains(slot.seq) ||
-        !bucket_it->second.by_priority.contains(
-            {-slot.attrs.priority, slot.seq})) {
-      complain(Format("task {} missing from its bucket", task.value()));
-    }
-    const auto group_it = groups_.find(GroupKeyOf(slot.attrs));
-    if (group_it == groups_.end() ||
-        group_it->second.by_seq.size() <= slot.seq ||
-        group_it->second.by_seq.Value(static_cast<std::size_t>(slot.seq)) !=
-            -slot.attrs.needed_area) {
-      complain(Format("task {} missing from its group", task.value()));
-    }
-  }
-  std::size_t bucket_total = 0;
-  for (const auto& [config, bucket] : buckets_) {
-    if (bucket.by_seq.size() != bucket.by_priority.size()) {
-      complain(Format("bucket {} set sizes differ", config));
-    }
-    bucket_total += bucket.by_seq.size();
-  }
-  if (bucket_total != slots_.size()) {
-    complain(Format("buckets hold {} entries, expected {}", bucket_total,
-                     slots_.size()));
-  }
-  std::size_t group_total = 0;
-  for (const auto& [family, group] : groups_) {
-    group_total += group.by_priority.size();
-    std::size_t live_leaves = 0;
-    for (std::size_t pos = 0; pos < group.by_seq.size(); ++pos) {
-      if (group.by_seq.Value(pos) != MaxSegTree::kNegInf) ++live_leaves;
-    }
-    if (live_leaves != group.by_priority.size()) {
-      complain(Format("group {} tree/treap sizes differ ({} vs {})", family,
-                       live_leaves, group.by_priority.size()));
-    }
-  }
-  if (group_total != slots_.size()) {
-    complain(Format("groups hold {} entries, expected {}", group_total,
-                     slots_.size()));
-  }
-  if (static_cast<std::size_t>(live_.Total()) != slots_.size()) {
-    complain("live-count Fenwick total mismatch");
-  }
-  return violations;
 }
 
 }  // namespace dreamsim::resource

@@ -37,11 +37,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -160,12 +158,6 @@ class SusQueueIndex {
   /// Highest-priority eligible entry (same predicate), FIFO tie-break.
   [[nodiscard]] std::optional<std::size_t> BestPriorityEligible(
       FamilyId family, Area area_bound, ConfigId match_config) const;
-
-  /// Cross-checks every indexed value against the ground-truth queue and
-  /// an attribute oracle; returns one message per violation.
-  [[nodiscard]] std::vector<std::string> Validate(
-      const std::vector<TaskId>& queue,
-      const std::function<SusEntryAttrs(TaskId)>& attrs_of) const;
 
  private:
   // Correctness tooling (src/analysis): read-only ground-truth diffing and

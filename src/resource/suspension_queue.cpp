@@ -84,12 +84,6 @@ void SuspensionQueue::SetDrainIndexed(bool enabled) {
   }
 }
 
-std::vector<std::string> SuspensionQueue::ValidateIndex() const {
-  if (!index_) return {};
-  return index_->Validate(
-      queue_, [this](TaskId task) { return attrs_.at(task.value()); });
-}
-
 void SuspensionQueue::EraseAt(std::size_t index) {
   const TaskId task = queue_[index];
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(index));

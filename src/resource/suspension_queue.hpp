@@ -121,10 +121,6 @@ class SuspensionQueue {
     return index_->BestPriorityEligible(family, area_bound, match_config);
   }
 
-  /// Cross-checks the index against the queue (empty = consistent; always
-  /// empty when the index is disabled).
-  [[nodiscard]] std::vector<std::string> ValidateIndex() const;
-
   [[nodiscard]] std::size_t size() const { return queue_.size(); }
   [[nodiscard]] bool empty() const { return queue_.empty(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }

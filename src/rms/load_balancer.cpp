@@ -28,26 +28,4 @@ LoadMetrics LoadBalancer::Measure() const {
   return m;
 }
 
-std::optional<NodeId> LoadBalancer::PickLeastLoaded(
-    std::span<const NodeId> candidates) const {
-  std::optional<NodeId> best;
-  std::size_t best_load = 0;
-  Area best_available = 0;
-  for (const NodeId id : candidates) {
-    const resource::Node& n = store_.node(id);
-    const std::size_t load = n.running_tasks();
-    const Area available = n.available_area();
-    const bool better =
-        !best || load < best_load ||
-        (load == best_load && available > best_available) ||
-        (load == best_load && available == best_available && id < *best);
-    if (better) {
-      best = id;
-      best_load = load;
-      best_available = available;
-    }
-  }
-  return best;
-}
-
 }  // namespace dreamsim::rms

@@ -2,15 +2,10 @@
 // load balancing manager to perform a better load distribution among all
 // the nodes" — implemented here as an extension).
 //
-// Two roles:
-//   * measurement — imbalance metrics over the running-task distribution
-//     (coefficient of variation, Jain's fairness index);
-//   * advice — least-loaded node selection among feasible candidates, used
-//     by sched::Heuristic::kLeastLoaded and available to custom policies.
+// It measures imbalance over the running-task distribution (coefficient of
+// variation, Jain's fairness index). Placement stays with the policies:
+// sched::Heuristic::kLeastLoaded ranks its candidates itself.
 #pragma once
-
-#include <optional>
-#include <span>
 
 #include "resource/store.hpp"
 #include "util/types.hpp"
@@ -35,11 +30,6 @@ class LoadBalancer {
 
   /// Computes load metrics over all nodes.
   [[nodiscard]] LoadMetrics Measure() const;
-
-  /// Among `candidates`, the node with the fewest running tasks (ties by
-  /// larger available area, then lower id). Empty span => nullopt.
-  [[nodiscard]] std::optional<NodeId> PickLeastLoaded(
-      std::span<const NodeId> candidates) const;
 
  private:
   const resource::ResourceStore& store_;

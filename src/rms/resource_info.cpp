@@ -2,19 +2,6 @@
 
 namespace dreamsim::rms {
 
-NodeStaticInfo ResourceInformationManager::StaticInfo(NodeId id) const {
-  const resource::Node& n = store_.node(id);
-  return NodeStaticInfo{n.id(), n.total_area(), n.family(), n.caps(),
-                        n.network_delay()};
-}
-
-NodeDynamicInfo ResourceInformationManager::DynamicInfo(NodeId id) const {
-  const resource::Node& n = store_.node(id);
-  return NodeDynamicInfo{n.id(),          n.available_area(),
-                         n.config_count(), n.running_tasks(),
-                         n.busy(),         n.reconfig_count()};
-}
-
 SystemSnapshot ResourceInformationManager::Snapshot(Tick now) const {
   const resource::StoreTotals& t = store_.totals();
   SystemSnapshot s;

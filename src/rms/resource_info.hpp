@@ -3,37 +3,15 @@
 // "The resource information manager maintains all sorts of information
 // about the nodes ... static and dynamic information." The dynamic data
 // structures themselves live in resource::ResourceStore; this manager layers
-// the query/snapshot surface other modules consume: per-node state reports
-// for the monitoring module and aggregate utilization for load balancing.
+// the aggregate snapshot the monitoring module consumes on top of them.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 
 #include "resource/store.hpp"
 #include "util/types.hpp"
 
 namespace dreamsim::rms {
-
-/// Static node facts (fixed for a simulation).
-struct NodeStaticInfo {
-  NodeId id;
-  Area total_area = 0;
-  FamilyId family;
-  resource::Caps caps;
-  Tick network_delay = 0;
-};
-
-/// Dynamic node state ("current set of processor configurations, the state
-/// (currently idle or busy), number of currently running tasks, available
-/// reconfigurable area").
-struct NodeDynamicInfo {
-  NodeId id;
-  Area available_area = 0;
-  std::size_t config_count = 0;
-  std::size_t running_tasks = 0;
-  bool busy = false;
-  std::uint64_t reconfig_count = 0;
-};
 
 /// Aggregate system state at one instant.
 struct SystemSnapshot {
@@ -54,14 +32,9 @@ class ResourceInformationManager {
   explicit ResourceInformationManager(const resource::ResourceStore& store)
       : store_(store) {}
 
-  [[nodiscard]] NodeStaticInfo StaticInfo(NodeId id) const;
-  [[nodiscard]] NodeDynamicInfo DynamicInfo(NodeId id) const;
-
   /// Aggregates the whole system at tick `now`: an O(1) read of the
   /// store's maintained totals.
   [[nodiscard]] SystemSnapshot Snapshot(Tick now) const;
-
-  [[nodiscard]] const resource::ResourceStore& store() const { return store_; }
 
  private:
   const resource::ResourceStore& store_;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "audit_expect.hpp"
 #include "resource/store.hpp"
 #include "util/rng.hpp"
 
@@ -213,10 +214,10 @@ TEST(ContiguousStore, ConsistencyHoldsUnderOperations) {
   const EntryRef b = store.Configure(node, ConfigId{1});
   store.AssignTask(b, TaskId{1});
   store.ReclaimSlot(a);
-  EXPECT_TRUE(store.ValidateConsistency().empty());
+  EXPECT_TRUE(AuditsClean(store));
   (void)store.ReleaseTask(b);
   store.BlankNode(node);
-  EXPECT_TRUE(store.ValidateConsistency().empty());
+  EXPECT_TRUE(AuditsClean(store));
   const auto frag = store.Fragmentation();
   EXPECT_DOUBLE_EQ(frag.mean, 0.0);
 }
@@ -262,7 +263,7 @@ TEST(ContiguousSimulation, EndToEndWithFragmentation) {
   for (const Node& n : store.nodes()) {
     EXPECT_TRUE(n.contiguous());
   }
-  EXPECT_TRUE(store.ValidateConsistency().empty());
+  EXPECT_TRUE(AuditsClean(store));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // closest-match execution slowdown.
 #include <gtest/gtest.h>
 
+#include "audit_expect.hpp"
 #include "core/simulator.hpp"
 #include "sched/dreamsim_policy.hpp"
 
@@ -123,7 +124,7 @@ TEST(FamilyCompatibility, EndToEndSimulationWithFamilies) {
   core::Simulator sim(std::move(config));
   const core::MetricsReport report = sim.Run();
   EXPECT_EQ(report.completed_tasks + report.discarded_tasks, 500u);
-  EXPECT_TRUE(sim.store().ValidateConsistency().empty());
+  EXPECT_TRUE(AuditsClean(sim.store()));
   // Spot-check: every configuration landed on a compatible node.
   for (const resource::Node& n : sim.store().nodes()) {
     n.ForEachSlot([&](resource::SlotIndex,

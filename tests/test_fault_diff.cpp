@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "audit_expect.hpp"
 #include "core/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -99,9 +100,7 @@ RunResult RunOne(const FaultCase& c, std::uint64_t seed, bool indexed) {
   EXPECT_EQ(sim.store().indexed(), indexed);
   EXPECT_EQ(sim.suspension().drain_indexed(), indexed);
   result.report = sim.RunWithWorkload(MakeWorkload(seed));
-  const auto violations = sim.store().ValidateConsistency();
-  EXPECT_TRUE(violations.empty())
-      << "first violation: " << (violations.empty() ? "" : violations[0]);
+  EXPECT_TRUE(AuditsClean(sim.store()));
   return result;
 }
 

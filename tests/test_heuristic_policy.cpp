@@ -5,6 +5,8 @@
 
 #include <set>
 
+#include "audit_expect.hpp"
+
 namespace dreamsim::sched {
 namespace {
 
@@ -63,7 +65,7 @@ TEST_F(FirstFitTest, TakesFirstFeasibleNode) {
   const Decision d = policy.Schedule(MakeTask(0, 300), store_);
   EXPECT_EQ(d.outcome, Outcome::kPlaced);
   EXPECT_EQ(d.entry.node, n1_);
-  EXPECT_TRUE(store_.ValidateConsistency().empty());
+  EXPECT_TRUE(AuditsClean(store_));
 }
 
 TEST_F(FirstFitTest, PrefersIdleEntryOverNewConfiguration) {
@@ -176,7 +178,7 @@ TEST(HeuristicPolicy, PartialReconfigurationViaAlgorithm1) {
   const Decision d = policy.Schedule(MakeTask(1, 500, 1), store);
   EXPECT_EQ(d.outcome, Outcome::kPlaced);
   EXPECT_EQ(d.kind, PlacementKind::kPartialReconfiguration);
-  EXPECT_TRUE(store.ValidateConsistency().empty());
+  EXPECT_TRUE(AuditsClean(store));
 }
 
 TEST(HeuristicPolicy, DiscardWhenNothingEverFits) {

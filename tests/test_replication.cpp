@@ -13,7 +13,6 @@ SimulationConfig SmallConfig() {
   config.tasks.total_tasks = 200;
   config.seed = 42;
   config.label = "rep-test";
-  config.enable_monitoring = false;
   return config;
 }
 

@@ -26,38 +26,6 @@ ConfigCatalogue MakeCatalogue(std::initializer_list<Area> areas) {
   return c;
 }
 
-TEST(ResourceInformationManager, StaticInfo) {
-  ResourceStore store(MakeCatalogue({300}));
-  const NodeId id = store.AddNode(1500, FamilyId{2},
-                                  resource::Caps{256, 10, 400}, 7);
-  const ResourceInformationManager info(store);
-  const NodeStaticInfo s = info.StaticInfo(id);
-  EXPECT_EQ(s.total_area, 1500);
-  EXPECT_EQ(s.family.value(), 2u);
-  EXPECT_EQ(s.caps.embedded_memory_kb, 256);
-  EXPECT_EQ(s.network_delay, 7);
-}
-
-TEST(ResourceInformationManager, DynamicInfoTracksState) {
-  ResourceStore store(MakeCatalogue({300}));
-  const NodeId id = store.AddNode(1000);
-  const ResourceInformationManager info(store);
-
-  NodeDynamicInfo d = info.DynamicInfo(id);
-  EXPECT_EQ(d.available_area, 1000);
-  EXPECT_EQ(d.config_count, 0u);
-  EXPECT_FALSE(d.busy);
-
-  const EntryRef e = store.Configure(id, ConfigId{0});
-  store.AssignTask(e, TaskId{1});
-  d = info.DynamicInfo(id);
-  EXPECT_EQ(d.available_area, 700);
-  EXPECT_EQ(d.config_count, 1u);
-  EXPECT_EQ(d.running_tasks, 1u);
-  EXPECT_TRUE(d.busy);
-  EXPECT_EQ(d.reconfig_count, 1u);
-}
-
 TEST(ResourceInformationManager, SnapshotAggregates) {
   ResourceStore store(MakeCatalogue({300, 500}));
   const NodeId a = store.AddNode(1000);
@@ -159,34 +127,6 @@ TEST(LoadBalancer, MeasureDetectsImbalance) {
   EXPECT_DOUBLE_EQ(m.mean_running_tasks, 1.0);
   EXPECT_GT(m.imbalance, 0.9);
   EXPECT_LT(m.fairness, 0.75);
-}
-
-TEST(LoadBalancer, PickLeastLoaded) {
-  ResourceStore store(MakeCatalogue({300}));
-  const NodeId a = store.AddNode(1000);
-  const NodeId b = store.AddNode(2000);
-  const NodeId c = store.AddNode(3000);
-  const EntryRef e = store.Configure(a, ConfigId{0});
-  store.AssignTask(e, TaskId{1});
-
-  const LoadBalancer lb(store);
-  const std::vector<NodeId> candidates{a, b, c};
-  const auto pick = lb.PickLeastLoaded(candidates);
-  ASSERT_TRUE(pick.has_value());
-  EXPECT_EQ(*pick, c);  // zero load, largest available area
-
-  EXPECT_FALSE(lb.PickLeastLoaded({}).has_value());
-}
-
-TEST(LoadBalancer, PickBreaksTiesByIdWhenAreasEqual) {
-  ResourceStore store(MakeCatalogue({300}));
-  const NodeId a = store.AddNode(1000);
-  const NodeId b = store.AddNode(1000);
-  const LoadBalancer lb(store);
-  const std::vector<NodeId> candidates{b, a};
-  const auto pick = lb.PickLeastLoaded(candidates);
-  ASSERT_TRUE(pick.has_value());
-  EXPECT_EQ(*pick, a);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "audit_expect.hpp"
+
 namespace dreamsim::core {
 namespace {
 
@@ -32,8 +34,7 @@ TEST(Simulator, AllTasksReachTerminalState) {
 TEST(Simulator, StoreConsistentAfterRun) {
   Simulator sim(SmallConfig(500, 20));
   (void)sim.Run();
-  const auto violations = sim.store().ValidateConsistency();
-  EXPECT_TRUE(violations.empty()) << violations.front();
+  EXPECT_TRUE(AuditsClean(sim.store()));
   // No tasks left running anywhere.
   for (const resource::Node& n : sim.store().nodes()) {
     EXPECT_FALSE(n.busy());
@@ -203,18 +204,8 @@ TEST(Simulator, HeuristicPoliciesRunCleanly) {
     const MetricsReport report = sim.Run();
     EXPECT_EQ(report.completed_tasks + report.discarded_tasks, 200u)
         << "policy " << ToString(choice);
-    EXPECT_TRUE(sim.store().ValidateConsistency().empty())
-        << "policy " << ToString(choice);
+    EXPECT_TRUE(AuditsClean(sim.store())) << "policy " << ToString(choice);
   }
-}
-
-TEST(Simulator, MonitoringCanBeDisabled) {
-  SimulationConfig config = SmallConfig(100, 10);
-  config.enable_monitoring = false;
-  Simulator sim(std::move(config));
-  (void)sim.Run();
-  EXPECT_EQ(sim.utilization().observed_until, sim.kernel().now());
-  EXPECT_DOUBLE_EQ(sim.utilization().avg_running_tasks, 0.0);
 }
 
 TEST(Simulator, MonitoringProducesUtilization) {
@@ -260,17 +251,15 @@ INSTANTIATE_TEST_SUITE_P(SamplingPolicies, WasteAccountingTest,
 
 TEST(Simulator, ContiguousPlacementRunsConsistently) {
   // The fabric-placement extension: simulations complete and stores stay
-  // consistent (including the layout/scalar-accounting agreement that
-  // ValidateConsistency checks per node).
+  // consistent (including the layout/scalar-accounting agreement that the
+  // auditor's fabric.layout check covers per node).
   for (const bool contiguous : {false, true}) {
     SimulationConfig config = SmallConfig(600, 15, 13);
     config.nodes.contiguous_placement = contiguous;
     Simulator sim(std::move(config));
     const MetricsReport report = sim.Run();
     EXPECT_EQ(report.completed_tasks + report.discarded_tasks, 600u);
-    const auto violations = sim.store().ValidateConsistency();
-    EXPECT_TRUE(violations.empty())
-        << (violations.empty() ? "" : violations.front());
+    EXPECT_TRUE(AuditsClean(sim.store()));
   }
 }
 
@@ -285,7 +274,7 @@ TEST(Simulator, ContiguousPlacementHeuristicsAllRun) {
     const MetricsReport report = sim.Run();
     EXPECT_EQ(report.completed_tasks + report.discarded_tasks, 300u)
         << resource::ToString(placement);
-    EXPECT_TRUE(sim.store().ValidateConsistency().empty());
+    EXPECT_TRUE(AuditsClean(sim.store()));
   }
 }
 

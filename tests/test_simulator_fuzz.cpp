@@ -3,6 +3,7 @@
 // every task terminal, every structure consistent, every metric sane.
 #include <gtest/gtest.h>
 
+#include "audit_expect.hpp"
 #include "core/simulator.hpp"
 #include "util/fmt.hpp"
 
@@ -140,9 +141,7 @@ TEST_P(SimulatorFuzz, GlobalInvariantsHold) {
   EXPECT_EQ(non_terminal, 0u);
 
   // Structures: Fig. 3 lists, Eq. 4 accounting, layouts.
-  const auto violations = sim.store().ValidateConsistency();
-  EXPECT_TRUE(violations.empty())
-      << (violations.empty() ? "" : violations.front());
+  EXPECT_TRUE(AuditsClean(sim.store()));
 
   // Nothing left running and no dangling events.
   for (const resource::Node& n : sim.store().nodes()) {

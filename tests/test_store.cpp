@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "audit_expect.hpp"
 #include "util/rng.hpp"
 
 namespace dreamsim::resource {
@@ -32,11 +33,7 @@ class StoreTest : public ::testing::Test {
     node_c_ = store_.AddNode(4000);
   }
 
-  void ExpectConsistent() {
-    const auto violations = store_.ValidateConsistency();
-    EXPECT_TRUE(violations.empty())
-        << "first violation: " << (violations.empty() ? "" : violations[0]);
-  }
+  void ExpectConsistent() { EXPECT_TRUE(AuditsClean(store_)); }
 
   ResourceStore store_;
   NodeId node_a_, node_b_, node_c_;
@@ -228,7 +225,7 @@ TEST_F(StoreTest, InitNodesGeneratesWithinRanges) {
     EXPECT_LT(n.family().value(), 4u);
     EXPECT_GT(n.caps().embedded_memory_kb, 0);
   }
-  EXPECT_TRUE(store.ValidateConsistency().empty());
+  EXPECT_TRUE(AuditsClean(store));
 }
 
 TEST_F(StoreTest, InitNodesRejectsBadRanges) {
@@ -323,14 +320,9 @@ TEST_P(StoreFuzzTest, InvariantsSurviveRandomOperations) {
         break;
       }
     }
-    if (op % 100 == 0) {
-      const auto violations = store.ValidateConsistency();
-      ASSERT_TRUE(violations.empty())
-          << "op " << op << ": " << violations.front();
-    }
+    if (op % 100 == 0) ASSERT_TRUE(AuditsClean(store)) << "op " << op;
   }
-  const auto violations = store.ValidateConsistency();
-  EXPECT_TRUE(violations.empty()) << violations.front();
+  EXPECT_TRUE(AuditsClean(store));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -15,6 +15,7 @@
 
 #include <vector>
 
+#include "audit_expect.hpp"
 #include "core/simulator.hpp"
 #include "resource/store.hpp"
 #include "util/rng.hpp"
@@ -73,10 +74,8 @@ class TwinStores {
   }
 
   void ExpectConsistent() {
-    const auto iv = indexed_.ValidateConsistency();
-    EXPECT_TRUE(iv.empty()) << "indexed: " << (iv.empty() ? "" : iv[0]);
-    const auto sv = scan_.ValidateConsistency();
-    EXPECT_TRUE(sv.empty()) << "scan: " << (sv.empty() ? "" : sv[0]);
+    EXPECT_TRUE(AuditsClean(indexed_)) << "indexed";
+    EXPECT_TRUE(AuditsClean(scan_)) << "scan";
   }
 
  private:
@@ -311,9 +310,7 @@ RunResult RunOne(const SimCase& c, std::uint64_t seed, bool indexed) {
       [&](const SimEvent& e) { result.events.push_back(e); });
   result.report = sim.Run();
   EXPECT_EQ(sim.store().indexed(), indexed);
-  const auto violations = sim.store().ValidateConsistency();
-  EXPECT_TRUE(violations.empty())
-      << "first violation: " << (violations.empty() ? "" : violations[0]);
+  EXPECT_TRUE(AuditsClean(sim.store()));
   return result;
 }
 

@@ -63,6 +63,19 @@ ResourceStore MakePopulatedStore(bool indexed) {
   return store;
 }
 
+/// One contiguous 1000-unit node holding an idle 300-unit configuration
+/// at [0, 300) and a busy 500-unit one at [300, 800); the hole [800, 1000)
+/// stays free.
+ResourceStore MakeContiguousStore(bool indexed) {
+  ResourceStore store(MakeCatalogue({300, 500}));
+  store.SetIndexed(indexed);
+  const NodeId node = store.AddNode(1000, FamilyId{0}, resource::Caps{}, 0,
+                                    /*contiguous=*/true);
+  (void)store.Configure(node, ConfigId{0});
+  store.AssignTask(store.Configure(node, ConfigId{1}), TaskId{3});
+  return store;
+}
+
 // --- Clean structures audit clean -------------------------------------------
 
 TEST(StructureAuditorClean, FreshStore) {
@@ -76,6 +89,24 @@ TEST(StructureAuditorClean, PopulatedStoreIndexedAndNot) {
   for (const bool indexed : {false, true}) {
     const ResourceStore store = MakePopulatedStore(indexed);
     const AuditReport report = StructureAuditor::AuditStore(store);
+    EXPECT_TRUE(report.ok()) << "indexed=" << indexed << "\n"
+                             << report.Render();
+  }
+}
+
+TEST(StructureAuditorClean, FragmentedContiguousStore) {
+  for (const bool indexed : {false, true}) {
+    ResourceStore store = MakeContiguousStore(indexed);
+    // Reclaiming the idle extent at [0, 300) leaves two holes around the
+    // busy one; a fresh 300-unit configuration then refills the first.
+    const EntryRef idle{NodeId{0}, 0};
+    store.ReclaimSlot(idle);
+    AuditReport report = StructureAuditor::AuditStore(store);
+    EXPECT_TRUE(report.ok()) << "indexed=" << indexed << "\n"
+                             << report.Render();
+    EXPECT_EQ(store.node(NodeId{0}).layout().hole_count(), 2u);
+    (void)store.Configure(NodeId{0}, ConfigId{0});
+    report = StructureAuditor::AuditStore(store);
     EXPECT_TRUE(report.ok()) << "indexed=" << indexed << "\n"
                              << report.Render();
   }
@@ -171,8 +202,51 @@ TEST(StructureAuditorCorruption, SkewedTotalsAreStoreTotals) {
         << report.Render();
     ASSERT_EQ(report.violations.size(), 1u) << report.Render();
     EXPECT_EQ(report.violations[0].path, "store totals.wasted_area");
-    // The store's own self-check sees it too.
-    EXPECT_FALSE(store.ValidateConsistency().empty());
+  }
+}
+
+TEST(StructureAuditorCorruption, OvercommittedNodeIsEq4Area) {
+  for (const bool indexed : {false, true}) {
+    ResourceStore store = MakePopulatedStore(indexed);
+    // Node 0 (TotalArea 1000, one idle 300-unit entry) shrinks to 299:
+    // Eq. 4 still balances, but AvailableArea is -1. Totals and index move
+    // with it, so only the sign check sees the overcommit.
+    StructureCorruptor::OvercommitNode(store, NodeId{0});
+    ASSERT_EQ(store.node(NodeId{0}).available_area(), -1);
+    const AuditReport report = StructureAuditor::AuditStore(store);
+    ASSERT_FALSE(report.ok()) << "indexed=" << indexed;
+    EXPECT_EQ(Slugs(report), std::set<std::string>{"eq4.area"})
+        << report.Render();
+    ASSERT_EQ(report.violations.size(), 1u) << report.Render();
+    EXPECT_EQ(report.violations[0].path, "node 0");
+  }
+}
+
+TEST(StructureAuditorCorruption, LeakedFabricUnitIsFabricLayout) {
+  for (const bool indexed : {false, true}) {
+    ResourceStore store = MakeContiguousStore(indexed);
+    // The hole [800, 1000) loses its last unit: the layout's holes no
+    // longer complement the live extents and its free area drops to 199.
+    StructureCorruptor::LeakFabricHole(store, NodeId{0});
+    const AuditReport report = StructureAuditor::AuditStore(store);
+    ASSERT_FALSE(report.ok()) << "indexed=" << indexed;
+    EXPECT_EQ(Slugs(report), std::set<std::string>{"fabric.layout"})
+        << report.Render();
+    EXPECT_EQ(report.violations.size(), 2u) << report.Render();
+  }
+}
+
+TEST(StructureAuditorCorruption, ShrunkSlotExtentIsFabricLayout) {
+  for (const bool indexed : {false, true}) {
+    ResourceStore store = MakeContiguousStore(indexed);
+    // The idle slot's extent becomes [0, 299): narrower than its ReqArea,
+    // and the unit at 299 is neither free nor owned.
+    StructureCorruptor::ShrinkSlotExtent(store, NodeId{0}, 0);
+    const AuditReport report = StructureAuditor::AuditStore(store);
+    ASSERT_FALSE(report.ok()) << "indexed=" << indexed;
+    EXPECT_EQ(Slugs(report), std::set<std::string>{"fabric.layout"})
+        << report.Render();
+    EXPECT_EQ(report.violations.size(), 2u) << report.Render();
   }
 }
 

@@ -25,6 +25,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "audit_expect.hpp"
 #include "core/simulator.hpp"
 #include "resource/suspension_queue.hpp"
 #include "util/rng.hpp"
@@ -247,20 +248,14 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
     ASSERT_EQ(meter_indexed.housekeeping_steps_total(),
               meter_scan.housekeeping_steps_total());
     ASSERT_EQ(indexed.size(), scan.size());
-    if (op % 250 == 0) {
-      const auto violations = indexed.ValidateIndex();
-      ASSERT_TRUE(violations.empty())
-          << "first violation: " << (violations.empty() ? "" : violations[0]);
-    }
+    if (op % 250 == 0) ASSERT_TRUE(AuditsClean(indexed)) << "op " << op;
   }
 
   // Rebuilding from live content (index toggled mid-run) preserves both
   // attributes and query answers.
   indexed.SetDrainIndexed(false);
   indexed.SetDrainIndexed(true);
-  const auto violations = indexed.ValidateIndex();
-  ASSERT_TRUE(violations.empty())
-      << "first violation: " << (violations.empty() ? "" : violations[0]);
+  ASSERT_TRUE(AuditsClean(indexed));
   const BruteForce brute{scan.tasks(), attrs_oracle};
   ASSERT_EQ(indexed.OldestEligible(FamilyId{1}, 1500, 0, ConfigId{2}),
             brute.OldestEligible(FamilyId{1}, 1500, 0, ConfigId{2}));
@@ -346,9 +341,7 @@ RunResult RunOne(const SimCase& c, std::uint64_t seed, bool indexed) {
   sim.SetEventLogger([&](const SimEvent& e) { result.events.push_back(e); });
   result.report = sim.RunWithWorkload(MakeWorkload(seed));
   EXPECT_EQ(sim.suspension().drain_indexed(), indexed);
-  const auto violations = sim.suspension().ValidateIndex();
-  EXPECT_TRUE(violations.empty())
-      << "first violation: " << (violations.empty() ? "" : violations[0]);
+  EXPECT_TRUE(AuditsClean(sim.suspension()));
   return result;
 }
 

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "audit_expect.hpp"
+
 namespace dreamsim::resource {
 namespace {
 
@@ -194,7 +196,7 @@ TEST(SuspensionQueue, RequeueAfterKillChargesOneHousekeepingStep) {
     ASSERT_EQ(q.size(), 2u);
     EXPECT_EQ(q.tasks().front(), TaskId{2});
     EXPECT_EQ(q.tasks().back(), TaskId{1});
-    if (indexed) EXPECT_TRUE(q.ValidateIndex().empty());
+    EXPECT_TRUE(AuditsClean(q)) << indexed;
   }
 }
 
@@ -204,12 +206,12 @@ TEST(SuspensionQueue, IndexRebuildsAcrossToggle) {
   (void)q.Add(TaskId{4}, Attrs(2, 700, 5.0), meter);
   (void)q.Add(TaskId{5}, Attrs(3, 600, 1.0), meter);
   q.SetDrainIndexed(true);  // rebuild from retained attributes
-  EXPECT_TRUE(q.ValidateIndex().empty());
+  EXPECT_TRUE(AuditsClean(q));
   EXPECT_EQ(q.OldestExactMatch(ConfigId{3}), std::optional<std::size_t>{1});
   q.RefreshAttrs(TaskId{5}, Attrs(2, 600, 1.0));
   EXPECT_EQ(q.OldestExactMatch(ConfigId{3}), std::nullopt);
   EXPECT_EQ(q.OldestExactMatch(ConfigId{2}), std::optional<std::size_t>{0});
-  EXPECT_TRUE(q.ValidateIndex().empty());
+  EXPECT_TRUE(AuditsClean(q));
 }
 
 }  // namespace

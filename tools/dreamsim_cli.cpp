@@ -106,7 +106,6 @@ void RegisterFlags(CliParser& cli) {
   // Metrics / output.
   cli.AddString("waste-accounting", "on-schedule",
                 "on-schedule|on-configure|time-weighted|idle-configured");
-  cli.AddBool("monitoring", true, "event-driven utilization monitoring");
   // Performance.
   cli.AddBool("scheduler-index", true,
               "O(log N) indexed scheduler queries (identical decisions and "
@@ -186,7 +185,6 @@ void ApplyRuntimeKnobs(const CliParser& cli, core::SimulationConfig& config) {
   config.faults.mtbf = cli.GetDouble("fault-mtbf");
   config.faults.mttr = cli.GetDouble("fault-mttr");
   config.faults.script = core::ParseFaultScript(cli.GetString("fault-script"));
-  config.enable_monitoring = cli.GetBool("monitoring");
   config.scheduler_index = cli.GetBool("scheduler-index");
   config.drain_index = cli.GetBool("drain-index");
   const auto audit = analysis::ParseAuditMode(cli.GetString("audit"));

@@ -108,7 +108,6 @@ Simulator::Simulator(SimulationConfig config)
       network_(config_.network, DeriveSeed(config_.seed, kStreamNetwork)),
       metrics_(config_.waste_accounting),
       info_(store_),
-      monitor_(info_),
       jobs_(kernel_, tasks_),
       faults_(config_.faults, DeriveSeed(config_.seed, kStreamFaults)) {
   store_.SetIndexed(config_.scheduler_index);
@@ -203,10 +202,7 @@ TaskId Simulator::SubmitTaskAt(const workload::GeneratedTask& task, Tick at) {
   ++submitted_tasks_;
   const TaskId id =
       jobs_.SubmitOne(task, at, [this](TaskId tid) { HandleArrival(tid); });
-  if (was_drained) {
-    kernel_role_.AssertHeld();
-    RearmFaults();
-  }
+  if (was_drained) RearmFaults();
   return id;
 }
 
@@ -292,7 +288,6 @@ MetricsReport Simulator::RunWithWorkload(const workload::Workload& wl) {
   ran_ = true;
   submitted_tasks_ += jobs_.Submit(wl, [this](TaskId id) { HandleArrival(id); });
   if (faults_.enabled() && submitted_tasks_ > terminal_tasks_) {
-    kernel_role_.AssertHeld();
     RearmFaults();
   }
   (void)kernel_.Run();
@@ -812,7 +807,6 @@ void Simulator::ArmFailure(NodeId node) {
   if (terminal_tasks_ >= submitted_tasks_) return;
   fault_process_events_[node.value()] = kernel_.ScheduleAfter(
       faults_.NextFailureDelay(), sim::EventPriority::kControl, [this, node] {
-        kernel_role_.AssertHeld();
         fault_process_events_[node.value()] = {};
         ApplyFault(node, FaultAction::kFail);
         if (faults_.params().repairs_enabled()) ArmRepair(node);
@@ -823,7 +817,6 @@ void Simulator::ArmRepair(NodeId node) {
   if (terminal_tasks_ >= submitted_tasks_) return;
   fault_process_events_[node.value()] = kernel_.ScheduleAfter(
       faults_.NextRepairDelay(), sim::EventPriority::kControl, [this, node] {
-        kernel_role_.AssertHeld();
         fault_process_events_[node.value()] = {};
         ApplyFault(node, FaultAction::kRepair);
         ArmFailure(node);
@@ -855,7 +848,6 @@ void Simulator::ScheduleFaultScript() {
     // construction.
     pending.handle = kernel_.ScheduleAt(
         pending.event.at, sim::EventPriority::kControl, [this, i] {
-          kernel_role_.AssertHeld();
           ScriptedFault& entry = fault_script_[i];
           entry.handle = {};
           entry.fired = true;
@@ -959,7 +951,6 @@ void Simulator::HandleNodeRepair(NodeId node_id) {
 void Simulator::NoteTerminal() {
   ++terminal_tasks_;
   if (faults_.enabled() && terminal_tasks_ >= submitted_tasks_) {
-    kernel_role_.AssertHeld();
     CancelPendingFaultEvents();
   }
 }

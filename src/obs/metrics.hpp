@@ -156,10 +156,10 @@ class MetricsRegistry {
 
   /// Every slot is a relaxed atomic because concurrent sweep and
   /// replication workers (core/sweep, core/replication) share this
-  /// process-global registry, so no slot has a stable owning thread to bind
-  /// a ThreadRole to. The atomics-discipline lint rule enforces the other
-  /// half of the contract: the registry stays memory_order_relaxed, and
-  /// model-plane code never grows its own atomics.
+  /// process-global registry, so no slot has a single owning thread. The
+  /// atomics-discipline lint rule enforces the other half of the contract:
+  /// the registry stays memory_order_relaxed, and model-plane code never
+  /// grows its own atomics.
   std::array<std::atomic<std::uint64_t>, kMetricCount> scalars_{};
   std::array<HistSlot, kHistMetricCount> hists_{};
 };

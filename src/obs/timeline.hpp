@@ -20,15 +20,13 @@
 #include <string>
 
 #include "core/simulator.hpp"
-#include "util/sync.hpp"
-#include "util/thread_annotations.hpp"
 #include "util/types.hpp"
 
 namespace dreamsim::obs {
 
 class TimeSeriesSampler {
  public:
-  /// Samples every `interval` ticks (>= 1; 0 is coerced to 1) to a
+  /// Samples every `interval` ticks (>= 1; less is coerced to 1) to a
   /// caller-owned stream (tests) …
   TimeSeriesSampler(std::ostream& out, Tick interval);
   /// … or to a file the sampler owns. Throws std::runtime_error when the
@@ -54,18 +52,18 @@ class TimeSeriesSampler {
   [[nodiscard]] std::size_t observations() const { return observations_; }
 
  private:
-  void EmitRow(Tick at) REQUIRES(role_);
+  void EmitRow(Tick at);
   /// Emits every grid point strictly before `t` (they see the held sample).
-  void CatchUpTo(Tick t) REQUIRES(role_);
+  void CatchUpTo(Tick t);
   /// Writes the buffered rows to the output stream.
-  void FlushBatch() REQUIRES(role_);
+  void FlushBatch();
 
   std::ofstream owned_out_;
   std::ostream& sink_;
   /// Rows are all-integer and emitted on the simulator's hot path, so they
   /// are serialized with std::to_chars into this batch and written out one
   /// batch (not one ostream call) at a time (bench_obs gates the overhead).
-  std::string batch_ GUARDED_BY(role_);
+  std::string batch_;
   std::size_t rows_ = 0;
   Tick interval_;
   Tick next_grid_ = 0;         // next grid tick to emit
@@ -73,9 +71,6 @@ class TimeSeriesSampler {
   bool have_sample_ = false;
   std::size_t observations_ = 0;
   bool finished_ = false;
-  /// Single-writer contract (DESIGN.md §17): the simulation thread owns
-  /// the row batch; Observe/Finish assert the role.
-  util::ThreadRole role_;
 };
 
 }  // namespace dreamsim::obs

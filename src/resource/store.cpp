@@ -143,6 +143,9 @@ NodeId ResourceStore::AddNode(Area total_area, FamilyId family, Caps caps,
 }
 
 void ResourceStore::InitNodes(const NodeGenParams& params, Rng& rng) {
+  if (params.count < 0) {
+    throw std::invalid_argument("negative node count");
+  }
   if (params.min_area <= 0 || params.min_area > params.max_area) {
     throw std::invalid_argument("invalid node area range");
   }

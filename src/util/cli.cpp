@@ -48,9 +48,14 @@ void CliParser::AddString(std::string name, std::string default_value,
 }
 
 void CliParser::AddInt(std::string name, std::int64_t default_value,
-                       std::string help) {
+                       std::string help, std::int64_t min, std::int64_t max) {
+  if (default_value < min || default_value > max) {
+    throw std::logic_error(
+        Format("option --{} defaults outside its range", name));
+  }
   auto text = Format("{}", default_value);
-  options_[std::move(name)] = Option{Type::kInt, text, text, std::move(help)};
+  options_[std::move(name)] =
+      Option{Type::kInt, text, text, std::move(help), false, min, max};
 }
 
 void CliParser::AddDouble(std::string name, double default_value,
@@ -80,6 +85,11 @@ bool CliParser::Assign(const std::string& name, const std::string& value) {
       if (!ParseInt(value, v)) {
         error_ = Format("option --{} expects an integer, got '{}'", name,
                              value);
+        return false;
+      }
+      if (v < opt.min || v > opt.max) {
+        error_ = Format("option --{} expects an integer in [{}, {}], got '{}'",
+                        name, opt.min, opt.max, value);
         return false;
       }
       break;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -20,7 +21,11 @@ class CliParser {
   /// Registers an option with a default value (shown in --help).
   void AddString(std::string name, std::string default_value,
                  std::string help);
-  void AddInt(std::string name, std::int64_t default_value, std::string help);
+  /// An integer option; Parse rejects values outside the inclusive
+  /// [min, max], so callers may narrow GetInt to any type that holds it.
+  void AddInt(std::string name, std::int64_t default_value, std::string help,
+              std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+              std::int64_t max = std::numeric_limits<std::int64_t>::max());
   void AddDouble(std::string name, double default_value, std::string help);
   void AddBool(std::string name, bool default_value, std::string help);
 
@@ -56,6 +61,8 @@ class CliParser {
     std::string value;
     std::string help;
     bool set = false;
+    std::int64_t min = 0;  // kInt only: the inclusive accepted range
+    std::int64_t max = 0;
   };
 
   [[nodiscard]] const Option& Require(std::string_view name, Type type) const;

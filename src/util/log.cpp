@@ -2,19 +2,16 @@
 
 #include <atomic>
 #include <iostream>
-
-#include "util/sync.hpp"
-#include "util/thread_annotations.hpp"
+#include <mutex>
 
 namespace dreamsim {
 namespace {
 
 std::atomic<LogLevel> g_level{LogLevel::kWarning};
-util::Mutex g_sink_mutex;
-/// The sink is a function-local static (first-use construction), so the
-/// guarded_by contract lives on the accessor: callers must hold the sink
-/// mutex for the returned reference's whole use.
-Log::Sink& SinkStorage() REQUIRES(g_sink_mutex) {
+std::mutex g_sink_mutex;
+/// The sink is a function-local static (first-use construction). Callers
+/// hold g_sink_mutex for the returned reference's whole use.
+Log::Sink& SinkStorage() {
   static Log::Sink sink;  // empty => default stderr sink
   return sink;
 }
@@ -42,13 +39,13 @@ void Log::SetLevel(LogLevel level) { g_level.store(level); }
 LogLevel Log::level() { return g_level.load(); }
 
 void Log::SetSink(Sink sink) {
-  const util::MutexLock lock(g_sink_mutex);
+  const std::lock_guard<std::mutex> lock(g_sink_mutex);
   SinkStorage() = std::move(sink);
 }
 
 void Log::Write(LogLevel level, std::string_view message) {
   if (level < Log::level()) return;
-  const util::MutexLock lock(g_sink_mutex);
+  const std::lock_guard<std::mutex> lock(g_sink_mutex);
   if (const Sink& sink = SinkStorage()) {
     sink(level, message);
   } else {

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
+
+#include "cli_flags.hpp"
 
 namespace dreamsim {
 namespace {
@@ -134,8 +137,9 @@ TEST(CliParser, TypeMismatchAccessThrows) {
 }
 
 TEST(CliParser, WasSetDistinguishesDefaultsFromExplicit) {
-  // WasSet backs the --trace-out deprecation alias: the tool must tell an
-  // explicitly passed option apart from one left at its default.
+  // The tool lets an explicit --seed, --mode, --policy or --explain
+  // override a scenario file, so it must tell an explicitly passed option
+  // apart from one left at its default.
   CliParser cli("test");
   cli.AddInt("n", 7, "");
   cli.AddString("out", "", "");
@@ -145,6 +149,55 @@ TEST(CliParser, WasSetDistinguishesDefaultsFromExplicit) {
   EXPECT_TRUE(cli.WasSet("flag"));
   EXPECT_FALSE(cli.WasSet("out"));
   EXPECT_THROW((void)cli.WasSet("missing"), std::logic_error);
+}
+
+TEST(CliParser, IntRangeIsCheckedAtParseTime) {
+  CliParser cli("test");
+  cli.AddInt("n", 1, "", 1, 10);
+  EXPECT_TRUE(ParseArgs(cli, {"--n=1", "--n=10"}));  // inclusive ends
+  EXPECT_EQ(cli.GetInt("n"), 10);
+  ASSERT_FALSE(ParseArgs(cli, {"--n=0"}));
+  EXPECT_NE(cli.error().find("--n expects an integer in [1, 10], got '0'"),
+            std::string::npos);
+  EXPECT_FALSE(ParseArgs(cli, {"--n", "11"}));
+  EXPECT_THROW(cli.AddInt("m", 0, "", 1, 10), std::logic_error);
+}
+
+// The dreamsim tool's own flag set: a count outside its declared range is
+// a parse error naming the flag, never a value wrapped by the narrowing.
+void ExpectToolRejects(std::vector<std::vector<const char*>> cases) {
+  for (const auto& args : cases) {
+    CliParser cli("dreamsim");
+    tool::RegisterFlags(cli);
+    EXPECT_FALSE(ParseArgs(cli, args)) << args[0] << ' ' << args[1];
+    EXPECT_NE(cli.error().find(args[0]), std::string::npos) << cli.error();
+  }
+}
+
+TEST(DreamsimFlags, CountsBelowRangeFail) {
+  ExpectToolRejects({{"--nodes", "-5"}, {"--configs", "-1"},
+                     {"--tasks", "-1"}, {"--families", "0"},
+                     {"--suspension-batch", "-1"}, {"--max-retries", "-1"},
+                     {"--queue-capacity", "-1"}, {"--threads", "-1"},
+                     {"--replications", "0"}, {"--sample-interval", "-5"},
+                     {"--metrics-interval", "0"}});
+}
+
+TEST(DreamsimFlags, CountsAboveRangeFail) {
+  ExpectToolRejects({{"--nodes", "3000000000"}, {"--configs", "2147483648"},
+                     {"--tasks", "4294967396"}, {"--families", "4294967298"},
+                     {"--max-retries", "4294967296"}, {"--threads", "1025"},
+                     {"--replications", "1000001"}});
+}
+
+TEST(DreamsimFlags, RangeEndsAreAccepted) {
+  CliParser cli("dreamsim");
+  tool::RegisterFlags(cli);
+  EXPECT_TRUE(ParseArgs(
+      cli, {"--nodes", "0", "--tasks", "2147483647", "--families", "1",
+            "--max-retries", "4294967295", "--threads", "1024",
+            "--replications", "1000000"}));
+  EXPECT_TRUE(ParseArgs(cli, {"--threads", "0", "--replications", "1"}));
 }
 
 }  // namespace

@@ -87,12 +87,12 @@ TEST(MonitoringModule, TimeWeightedUtilization) {
   ResourceStore store(MakeCatalogue({300}));
   const NodeId id = store.AddNode(1000);
   const ResourceInformationManager info(store);
-  MonitoringModule monitor(info);
+  MonitoringModule monitor;
 
-  monitor.Observe(0, 0);  // idle system
+  monitor.ObserveSnapshot(info.Snapshot(0), 0);  // idle system
   const EntryRef e = store.Configure(id, ConfigId{0});
   store.AssignTask(e, TaskId{1});
-  monitor.Observe(10, 2);  // busy from tick 10
+  monitor.ObserveSnapshot(info.Snapshot(10), 2);  // busy from tick 10
   const UtilizationReport report = monitor.Finish(20);
 
   // Running tasks: 0 over [0,10), 1 over [10,20) -> average 0.5.

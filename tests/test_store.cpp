@@ -236,6 +236,15 @@ TEST_F(StoreTest, InitNodesRejectsBadRanges) {
   EXPECT_THROW(store.InitNodes(params, rng), std::invalid_argument);
 }
 
+TEST_F(StoreTest, InitNodesRejectsNegativeCount) {
+  ResourceStore store(MakeCatalogue({300}));
+  NodeGenParams params;
+  params.count = -5;
+  Rng rng(1);
+  EXPECT_THROW(store.InitNodes(params, rng), std::invalid_argument);
+  EXPECT_EQ(store.node_count(), 0u);
+}
+
 // -------- Property test: invariants under random operation sequences ----
 
 struct FuzzCase {

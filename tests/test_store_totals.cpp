@@ -280,8 +280,6 @@ class ReferenceObserver {
  public:
   explicit ReferenceObserver(Simulator& sim)
       : sim_(sim),
-        info_(sim.store()),
-        monitor_(info_),
         accounting_(sim.config().waste_accounting) {
     waste_signal_.Set(0, 0.0);
     sim.SetStateObserver([this](const StateSample& s) { OnSample(s); });
@@ -383,7 +381,6 @@ class ReferenceObserver {
   }
 
   Simulator& sim_;
-  rms::ResourceInformationManager info_;
   rms::MonitoringModule monitor_;
   WasteAccounting accounting_;
   std::size_t samples_ = 0;

@@ -68,15 +68,18 @@ TEST(TimeSeriesSampler, SameTickObservationLastWins) {
 }
 
 TEST(TimeSeriesSampler, IntervalZeroIsCoercedToOne) {
-  std::ostringstream out;
-  TimeSeriesSampler sampler(out, 0);
-  sampler.Observe(At(0, 2));
-  sampler.Observe(At(3, 4));
-  sampler.Finish(3);
-  const auto rows = TickBusyPairs(out.str());
-  const std::vector<std::pair<std::uint64_t, std::uint64_t>> expected = {
-      {0, 2}, {1, 2}, {2, 2}, {3, 4}};
-  EXPECT_EQ(rows, expected);
+  // A negative interval used to walk the grid backwards forever.
+  for (const Tick interval : {Tick{0}, Tick{-5}}) {
+    std::ostringstream out;
+    TimeSeriesSampler sampler(out, interval);
+    sampler.Observe(At(0, 2));
+    sampler.Observe(At(3, 4));
+    sampler.Finish(3);
+    const auto rows = TickBusyPairs(out.str());
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>> expected = {
+        {0, 2}, {1, 2}, {2, 2}, {3, 4}};
+    EXPECT_EQ(rows, expected) << "interval " << interval;
+  }
 }
 
 TEST(TimeSeriesSampler, FinishIsIdempotentAndDtorSafe) {

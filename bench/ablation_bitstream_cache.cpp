@@ -5,6 +5,7 @@
 // impact, in partial-reconfiguration mode.
 #include <iostream>
 
+#include "cli_flags.hpp"
 #include "core/simulator.hpp"
 #include "util/cli.hpp"
 #include "util/fmt.hpp"
@@ -13,8 +14,9 @@ int main(int argc, char** argv) {
   using namespace dreamsim;
 
   CliParser cli("Bitstream-cache ablation (shipping + LRU capacity sweep).");
-  cli.AddInt("nodes", 100, "number of reconfigurable nodes");
-  cli.AddInt("tasks", 4000, "number of generated tasks");
+  cli.AddInt("nodes", 100, "number of reconfigurable nodes", 0,
+             tool::kIntMax);
+  cli.AddInt("tasks", 4000, "number of generated tasks", 0, tool::kIntMax);
   cli.AddInt("seed", 42, "random seed");
   cli.AddInt("bandwidth", 2000, "network bytes per tick");
   if (!cli.Parse(argc, argv)) {

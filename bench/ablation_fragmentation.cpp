@@ -7,6 +7,7 @@
 // heuristic), on the identical workload.
 #include <iostream>
 
+#include "cli_flags.hpp"
 #include "core/simulator.hpp"
 #include "util/cli.hpp"
 #include "util/fmt.hpp"
@@ -30,8 +31,9 @@ int main(int argc, char** argv) {
   CliParser cli(
       "Fragmentation ablation: scalar Eq. 4 area model vs contiguous "
       "placement (first/best/worst-fit).");
-  cli.AddInt("nodes", 100, "number of reconfigurable nodes");
-  cli.AddInt("tasks", 4000, "number of generated tasks");
+  cli.AddInt("nodes", 100, "number of reconfigurable nodes", 0,
+             tool::kIntMax);
+  cli.AddInt("tasks", 4000, "number of generated tasks", 0, tool::kIntMax);
   cli.AddInt("seed", 42, "random seed");
   if (!cli.Parse(argc, argv)) {
     std::cerr << cli.error() << "\n";

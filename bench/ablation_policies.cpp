@@ -4,6 +4,7 @@
 // workload and prints all Table I metrics side by side.
 #include <iostream>
 
+#include "cli_flags.hpp"
 #include "core/report.hpp"
 #include "core/simulator.hpp"
 #include "util/cli.hpp"
@@ -14,8 +15,9 @@ int main(int argc, char** argv) {
   CliParser cli(
       "Policy ablation: DReAMSim case-study algorithm vs baseline policies "
       "(all with partial reconfiguration semantics).");
-  cli.AddInt("nodes", 200, "number of reconfigurable nodes");
-  cli.AddInt("tasks", 5000, "number of generated tasks");
+  cli.AddInt("nodes", 200, "number of reconfigurable nodes", 0,
+             tool::kIntMax);
+  cli.AddInt("tasks", 5000, "number of generated tasks", 0, tool::kIntMax);
   cli.AddInt("seed", 42, "random seed shared by all policies");
   if (!cli.Parse(argc, argv)) {
     std::cerr << cli.error() << "\n";

@@ -4,6 +4,7 @@
 // metrics to the batch bound, retry budget, and queue capacity.
 #include <iostream>
 
+#include "cli_flags.hpp"
 #include "core/simulator.hpp"
 #include "util/cli.hpp"
 #include "util/fmt.hpp"
@@ -38,8 +39,9 @@ int main(int argc, char** argv) {
   using namespace dreamsim;
 
   CliParser cli("Suspension-queue ablation (partial reconfiguration).");
-  cli.AddInt("nodes", 100, "number of reconfigurable nodes");
-  cli.AddInt("tasks", 4000, "number of generated tasks");
+  cli.AddInt("nodes", 100, "number of reconfigurable nodes", 0,
+             tool::kIntMax);
+  cli.AddInt("tasks", 4000, "number of generated tasks", 0, tool::kIntMax);
   cli.AddInt("seed", 42, "random seed");
   if (!cli.Parse(argc, argv)) {
     std::cerr << cli.error() << "\n";

@@ -5,6 +5,7 @@
 // literal Eq. 6-at-arrival sampling.
 #include <iostream>
 
+#include "cli_flags.hpp"
 #include "core/simulator.hpp"
 #include "util/cli.hpp"
 #include "util/fmt.hpp"
@@ -13,8 +14,9 @@ int main(int argc, char** argv) {
   using namespace dreamsim;
 
   CliParser cli("Waste-accounting ablation for Eq. 6/7 (see DESIGN.md §4).");
-  cli.AddInt("nodes", 200, "number of reconfigurable nodes");
-  cli.AddInt("tasks", 5000, "number of generated tasks");
+  cli.AddInt("nodes", 200, "number of reconfigurable nodes", 0,
+             tool::kIntMax);
+  cli.AddInt("tasks", 5000, "number of generated tasks", 0, tool::kIntMax);
   cli.AddInt("seed", 42, "random seed");
   if (!cli.Parse(argc, argv)) {
     std::cerr << cli.error() << "\n";

@@ -2,6 +2,7 @@
 // policies to schedule task graphs"). Sweeps system size for a fixed
 // layered pipeline and reports makespan under four regimes: full/partial
 // reconfiguration x FIFO/critical-path-first release.
+#include <cstdint>
 #include <iostream>
 
 #include "core/graph_session.hpp"
@@ -15,8 +16,11 @@ int main(int argc, char** argv) {
   CliParser cli(
       "Task-graph scheduling bench: makespan vs node count, full/partial "
       "reconfiguration x fifo/critical-path-first.");
-  cli.AddInt("layers", 10, "pipeline depth");
-  cli.AddInt("width", 12, "tasks per layer");
+  // layers x width is the graph's task count, an int: each side stays at
+  // most floor(sqrt(INT_MAX)).
+  constexpr std::int64_t kMaxSide = 46340;
+  cli.AddInt("layers", 10, "pipeline depth", 1, kMaxSide);
+  cli.AddInt("width", 12, "tasks per layer", 1, kMaxSide);
   cli.AddDouble("density", 0.3, "edge probability between adjacent layers");
   cli.AddInt("seed", 42, "random seed");
   if (!cli.Parse(argc, argv)) {

@@ -6,9 +6,17 @@
 #include "core/report.hpp"
 #include "core/simulator.hpp"
 #include "core/sweep.hpp"
+#include "util/csv.hpp"
 #include "workload/trace.hpp"
 
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
+
+#ifndef DREAMSIM_RESULTS_DIR
+#error "build must define DREAMSIM_RESULTS_DIR (see tests/CMakeLists.txt)"
+#endif
 
 namespace dreamsim::core {
 namespace {
@@ -179,6 +187,138 @@ TEST(SweepIntegration, WasteOrderingHoldsAcrossTaskSweep) {
     EXPECT_LT(reports[3 + i].avg_waiting_time_per_task,
               reports[i].avg_waiting_time_per_task)
         << "task count index " << i;
+  }
+}
+
+// The committed results/ (bench/paper_figures at its defaults) on the
+// paper's own task axis: every ordering EXPERIMENTS.md ticks holds there.
+
+CsvTable ReadResult(const std::string& file) {
+  std::ifstream in(std::string(DREAMSIM_RESULTS_DIR) + "/" + file);
+  EXPECT_TRUE(in.is_open()) << file;
+  return CsvRead(in);
+}
+
+struct FigurePoint {
+  int tasks;
+  double full;
+  double partial;
+};
+
+/// One series of a committed figure CSV at one node count, in file order.
+std::vector<FigurePoint> ReadSeries(const std::string& figure,
+                                    const std::string& series, int nodes) {
+  const CsvTable table = ReadResult(figure + ".csv");
+  const std::size_t full = table.ColumnIndex(series + "_full");
+  const std::size_t partial = table.ColumnIndex(series + "_partial");
+  EXPECT_NE(full, CsvTable::npos) << figure << " " << series;
+  EXPECT_NE(partial, CsvTable::npos) << figure << " " << series;
+  std::vector<FigurePoint> points;
+  if (full == CsvTable::npos || partial == CsvTable::npos) return points;
+  for (const auto& row : table.rows) {
+    if (std::stoi(row[0]) != nodes) continue;
+    points.push_back(FigurePoint{std::stoi(row[1]), std::stod(row[full]),
+                                 std::stod(row[partial])});
+  }
+  return points;
+}
+
+TEST(CommittedFigures, EverySeriesIsOnThePapersTaskAxis) {
+  struct Series {
+    const char* figure;
+    const char* series;
+    int nodes;
+  };
+  for (const Series& s : std::vector<Series>{
+           {"fig06_wasted_area", "wasted_area", 100},
+           {"fig06_wasted_area", "wasted_area", 200},
+           {"fig07_reconfig_count", "reconfig_count", 100},
+           {"fig07_reconfig_count", "reconfig_count", 200},
+           {"fig08_waiting_time", "waiting_time", 100},
+           {"fig08_waiting_time", "waiting_time", 200},
+           {"fig09_scheduler_effort", "sched_steps", 200},
+           {"fig09_scheduler_effort", "total_workload", 200},
+           {"fig10_config_time", "config_time", 200}}) {
+    std::vector<int> tasks;
+    for (const FigurePoint& p : ReadSeries(s.figure, s.series, s.nodes)) {
+      tasks.push_back(p.tasks);
+    }
+    EXPECT_EQ(tasks, PaperTaskCounts(1.0)) << s.series << " " << s.nodes;
+  }
+}
+
+TEST(CommittedFigures, Fig6PartialWastesLessAndMoreNodesWasteMore) {
+  const auto small = ReadSeries("fig06_wasted_area", "wasted_area", 100);
+  const auto large = ReadSeries("fig06_wasted_area", "wasted_area", 200);
+  ASSERT_EQ(small.size(), large.size());
+  for (std::size_t i = 0; i < small.size(); ++i) {
+    EXPECT_LT(small[i].partial, small[i].full) << small[i].tasks;
+    EXPECT_LT(large[i].partial, large[i].full) << large[i].tasks;
+    EXPECT_GT(large[i].full, small[i].full) << small[i].tasks;
+    EXPECT_GT(large[i].partial, small[i].partial) << small[i].tasks;
+  }
+}
+
+TEST(CommittedFigures, Fig7PartialReconfiguresMoreAndFewerNodesMore) {
+  const auto small = ReadSeries("fig07_reconfig_count", "reconfig_count", 100);
+  const auto large = ReadSeries("fig07_reconfig_count", "reconfig_count", 200);
+  ASSERT_EQ(small.size(), large.size());
+  for (std::size_t i = 0; i < small.size(); ++i) {
+    EXPECT_GT(small[i].partial, small[i].full) << small[i].tasks;
+    EXPECT_GT(large[i].partial, large[i].full) << large[i].tasks;
+    EXPECT_GT(small[i].full, large[i].full) << small[i].tasks;
+    EXPECT_GT(small[i].partial, large[i].partial) << small[i].tasks;
+  }
+}
+
+TEST(CommittedFigures, Fig8FullWaitsLongerAndFewerNodesWaitLonger) {
+  const auto small = ReadSeries("fig08_waiting_time", "waiting_time", 100);
+  const auto large = ReadSeries("fig08_waiting_time", "waiting_time", 200);
+  ASSERT_EQ(small.size(), large.size());
+  for (std::size_t i = 0; i < small.size(); ++i) {
+    EXPECT_GT(small[i].full, small[i].partial) << small[i].tasks;
+    EXPECT_GT(large[i].full, large[i].partial) << large[i].tasks;
+    EXPECT_GT(small[i].full, large[i].full) << small[i].tasks;
+    EXPECT_GT(small[i].partial, large[i].partial) << small[i].tasks;
+  }
+}
+
+// Below 10000 tasks the Fig. 9 ordering inverts (at 1000 tasks partial takes
+// 1158 steps per task against full's 567: partial's Fig. 5 flow scans more
+// structures while the queues are short); the paper plots no such point.
+TEST(CommittedFigures, Fig9FullNeedsMoreSchedulingEffortFrom10kTasks) {
+  for (const char* series : {"sched_steps", "total_workload"}) {
+    for (const FigurePoint& p :
+         ReadSeries("fig09_scheduler_effort", series, 200)) {
+      if (p.tasks < 10000) continue;
+      EXPECT_GT(p.full, p.partial) << series << " " << p.tasks;
+    }
+  }
+}
+
+TEST(CommittedFigures, Fig10PartialPaysMoreConfigurationTime) {
+  for (const FigurePoint& p :
+       ReadSeries("fig10_config_time", "config_time", 200)) {
+    EXPECT_GT(p.partial, p.full) << p.tasks;
+  }
+}
+
+// table1.csv is WriteCsvReports output: the 200-node pair at the axis end.
+TEST(CommittedFigures, Table1IsTheCurrentRunCsvAtTheAxisEnd) {
+  const CsvTable table = ReadResult("table1.csv");
+  EXPECT_EQ(table.header, CsvReportHeader());
+  ASSERT_EQ(table.rows.size(), 2u);
+  const std::size_t label = table.ColumnIndex("label");
+  const std::size_t nodes = table.ColumnIndex("total_nodes");
+  const std::size_t tasks = table.ColumnIndex("total_tasks");
+  ASSERT_NE(label, CsvTable::npos);
+  ASSERT_NE(nodes, CsvTable::npos);
+  ASSERT_NE(tasks, CsvTable::npos);
+  EXPECT_EQ(table.rows[0][label], "full");
+  EXPECT_EQ(table.rows[1][label], "partial");
+  for (const auto& row : table.rows) {
+    EXPECT_EQ(row[nodes], "200");
+    EXPECT_EQ(row[tasks], std::to_string(PaperTaskCounts(1.0).back()));
   }
 }
 

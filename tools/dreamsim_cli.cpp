@@ -13,6 +13,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 
 #include "cli_flags.hpp"
 #include "core/replication.hpp"
@@ -267,14 +268,28 @@ std::vector<TaskId> ParseExplainTasks(const std::string& spec) {
   return tasks;
 }
 
-void MaybeWriteXml(const CliParser& cli, const core::MetricsReport& report) {
-  const std::string prefix = cli.GetString("xml");
-  if (prefix.empty()) return;
-  const std::string path = Format("{}-{}.xml", prefix, report.mode_name);
-  std::ofstream out(path);
-  core::WriteXmlReport(out, report);
-  std::cout << "wrote " << path << "\n";
-}
+/// A report file named by a flag (empty = not wanted). It opens on
+/// construction, before the run it reports on, so a bad path fails before
+/// any work.
+struct ReportFile {
+  explicit ReportFile(std::string file_path) : path(std::move(file_path)) {
+    if (path.empty()) return;
+    out.open(path);
+    if (!out) {
+      throw std::runtime_error(Format("could not open {} for writing", path));
+    }
+  }
+  [[nodiscard]] bool wanted() const { return !path.empty(); }
+  /// Closes the file, checks that every write reached it, and says so.
+  void Finish() {
+    out.close();
+    if (!out) throw std::runtime_error(Format("could not write {}", path));
+    std::cout << "wrote " << path << "\n";
+  }
+
+  std::string path;
+  std::ofstream out;
+};
 
 int RunSingleOrCompare(const CliParser& cli) {
   std::vector<sched::ReconfigMode> modes;
@@ -283,6 +298,8 @@ int RunSingleOrCompare(const CliParser& cli) {
   } else {
     modes = {BuildConfig(cli).mode};
   }
+
+  ReportFile csv(cli.GetString("csv"));
 
   // Optional trace replay: one workload shared by all runs.
   std::optional<workload::Workload> trace;
@@ -343,6 +360,12 @@ int RunSingleOrCompare(const CliParser& cli) {
     }
 
     const std::string mode_name(sched::ToString(mode));
+    const std::string xml_prefix = cli.GetString("xml");
+    ReportFile xml(xml_prefix.empty()
+                       ? std::string{}
+                       : Format("{}-{}.xml", xml_prefix, mode_name));
+    ReportFile node_csv(cli.GetString("node-csv"));
+    ReportFile config_csv(cli.GetString("config-csv"));
     core::Simulator simulator(std::move(config));
 
     // Observability taps (pure observers; paper metrics are unaffected).
@@ -414,20 +437,18 @@ int RunSingleOrCompare(const CliParser& cli) {
       std::cout << "\n[" << mode_name << "] "
                 << obs::PhaseProfiler::Instance().Report();
     }
-    MaybeWriteXml(cli, reports.back());
-
-    const std::string node_csv = cli.GetString("node-csv");
-    if (!node_csv.empty()) {
-      std::ofstream out(Format("{}", node_csv));
-      rms::WriteNodeCsv(out, simulator.store());
-      std::cout << "wrote " << node_csv << "\n";
+    if (xml.wanted()) {
+      core::WriteXmlReport(xml.out, reports.back());
+      xml.Finish();
     }
-    const std::string config_csv = cli.GetString("config-csv");
-    if (!config_csv.empty()) {
-      std::ofstream out(config_csv);
-      rms::WriteConfigCsv(out, simulator.store(),
+    if (node_csv.wanted()) {
+      rms::WriteNodeCsv(node_csv.out, simulator.store());
+      node_csv.Finish();
+    }
+    if (config_csv.wanted()) {
+      rms::WriteConfigCsv(config_csv.out, simulator.store(),
                           reports.back().placements_per_config);
-      std::cout << "wrote " << config_csv << "\n";
+      config_csv.Finish();
     }
   }
 
@@ -437,11 +458,9 @@ int RunSingleOrCompare(const CliParser& cli) {
     std::cout << core::RenderComparisonTable(reports);
   }
 
-  const std::string csv_path = cli.GetString("csv");
-  if (!csv_path.empty()) {
-    std::ofstream out(csv_path);
-    core::WriteCsvReports(out, reports);
-    std::cout << "wrote " << csv_path << "\n";
+  if (csv.wanted()) {
+    core::WriteCsvReports(csv.out, reports);
+    csv.Finish();
   }
   return 0;
 }
@@ -474,6 +493,7 @@ int RunSweepMode(const CliParser& cli) {
   params.modes = {sched::ReconfigMode::kFull, sched::ReconfigMode::kPartial};
   params.threads = static_cast<unsigned>(cli.GetInt("threads"));
   params.replications = static_cast<std::size_t>(cli.GetInt("replications"));
+  ReportFile csv(cli.GetString("csv"));
 
   if (params.replications > 1) {
     // Replicated grid: each point summarized over independent seeds.
@@ -490,11 +510,9 @@ int RunSweepMode(const CliParser& cli) {
       all_runs.insert(all_runs.end(), points[i].runs.begin(),
                       points[i].runs.end());
     }
-    const std::string csv_path = cli.GetString("csv");
-    if (!csv_path.empty()) {
-      std::ofstream out(csv_path);
-      core::WriteCsvReports(out, all_runs);
-      std::cout << "wrote " << csv_path << "\n";
+    if (csv.wanted()) {
+      core::WriteCsvReports(csv.out, all_runs);
+      csv.Finish();
     }
     return 0;
   }
@@ -505,11 +523,9 @@ int RunSweepMode(const CliParser& cli) {
   }
   std::cout << core::RenderComparisonTable(reports);
 
-  const std::string csv_path = cli.GetString("csv");
-  if (!csv_path.empty()) {
-    std::ofstream out(csv_path);
-    core::WriteCsvReports(out, reports);
-    std::cout << "wrote " << csv_path << "\n";
+  if (csv.wanted()) {
+    core::WriteCsvReports(csv.out, reports);
+    csv.Finish();
   }
   return 0;
 }
